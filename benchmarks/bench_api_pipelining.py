@@ -34,7 +34,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.api.client import NormClient
-from repro.api.server import NormServer
+from repro.api import NormServer
 from repro.serving.batcher import BatcherConfig
 from repro.serving.registry import CalibrationRegistry
 from repro.serving.service import NormalizationService

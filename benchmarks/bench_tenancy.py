@@ -5,8 +5,8 @@ with a :class:`~repro.tenancy.TenancyController` attached:
 
 * a **noisy** tenant flooding open-loop at **4x** its request quota must
   not degrade a **within-quota** tenant's p99 latency by more than
-  **1.5x** versus running alone -- the quota gate sheds the flood in the
-  reader thread *before* decode/admission, so the noisy tenant never
+  **1.5x** versus running alone -- the quota gate sheds the flood on the
+  server's event loop *before* decode/admission, so the noisy tenant never
   occupies worker slots beyond its paid rate;
 * every accepted response stays **bit-identical** to the locally rebuilt
   reference engine (tenancy is pure control plane);
@@ -48,7 +48,7 @@ import numpy as np
 from repro.api.client import NormClient
 from repro.api.envelopes import ApiError, QuotaExceededError
 from repro.api.retry import RetryPolicy
-from repro.api.server import NormServer
+from repro.api import NormServer
 from repro.serving.batcher import BatcherConfig
 from repro.serving.registry import CalibrationRegistry
 from repro.serving.service import NormalizationService

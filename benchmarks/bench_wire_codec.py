@@ -39,7 +39,7 @@ import numpy as np
 from repro.api.client import NormClient
 from repro.api.envelopes import SCHEMA_VERSION, TensorPayload
 from repro.api.framing import MAX_FRAME_BYTES, FrameDecoder, encode_frame, frame_kind
-from repro.api.server import NormServer
+from repro.api import NormServer
 from repro.serving.batcher import BatcherConfig
 from repro.serving.registry import CalibrationRegistry
 from repro.serving.service import NormalizationService

@@ -1,9 +1,9 @@
-"""Async-core smoke: thousands of idle connections under live traffic.
+"""Idle-connection smoke: thousands of idle connections under live traffic.
 
-The asyncio core's reason to exist: a connection costs one coroutine and
-a few kilobytes, not a reader thread, so holding 10k idle connections is
-routine.  This script drives the CI ``async-smoke`` job against a running
-``haan-serve`` (async core is the default):
+On the asyncio server a connection costs one coroutine and a few
+kilobytes, not a thread, so holding 10k idle connections is routine.
+This script drives the CI ``async-smoke`` job against a running
+``haan-serve``:
 
 1. open ``--idle`` TCP connections and *hold* them (no frames sent --
    with ``--require-auth`` on the server an idle socket is also an
@@ -45,16 +45,24 @@ def _open_idle(host: str, port: int, count: int, timeout: float) -> list:
     """Open ``count`` TCP connections and keep them (and only them) alive."""
     sockets = []
     deadline = time.monotonic() + timeout
-    for index in range(count):
+    while len(sockets) < count:
         if time.monotonic() > deadline:
             raise TimeoutError(
-                f"opened only {index} of {count} idle connections in {timeout}s"
+                f"opened only {len(sockets)} of {count} idle connections in {timeout}s"
             )
-        sock = socket.create_connection((host, port), timeout=10.0)
+        try:
+            sock = socket.create_connection((host, port), timeout=10.0)
+        except ConnectionRefusedError:
+            if sockets:
+                raise
+            # CI starts the server in the background right before this
+            # script: wait (within the deadline) for it to listen.
+            time.sleep(0.1)
+            continue
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sockets.append(sock)
-        if (index + 1) % 1000 == 0:
-            print(f"  {index + 1}/{count} idle connections held")
+        if len(sockets) % 1000 == 0:
+            print(f"  {len(sockets)}/{count} idle connections held")
     return sockets
 
 

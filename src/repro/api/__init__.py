@@ -14,10 +14,12 @@ One facade, two transports, one pipelined wire protocol:
   (pooled + thread-safe: length-prefixed JSON frames over N TCP
   connections, many requests in flight demultiplexed by ``request_id``,
   transparent reconnect).
-* :mod:`repro.api.server` -- :class:`NormServer`, the TCP front of a
-  service (``haan-serve --listen``): a worker pool handles pipelined
-  frames concurrently (responses in completion order), and the shared
-  :class:`~repro.api.handler.ApiHandler` both transports dispatch through.
+* :mod:`repro.api.aserver` -- :class:`NormServer`, the TCP front of a
+  service (``haan-serve --listen``): one asyncio event loop holds every
+  connection, and admitted frames are handled in a bounded executor by
+  the shared :class:`~repro.api.handler.ApiHandler` both transports
+  dispatch through, while their batches are awaited on the loop
+  (responses in completion order).
 
 Exports resolve lazily (PEP 562), mirroring :mod:`repro.engine`: the
 envelope layer is a leaf, but the client/server layers reach into
@@ -87,9 +89,8 @@ _EXPORTS = {
     "ClientNormResult": "client",
     "PendingNormResult": "client",
     "ServedSpec": "client",
-    "NormServer": "server",
-    "AsyncNormServer": "aserver",
-    "parse_address": "server",
+    "NormServer": "aserver",
+    "parse_address": "aserver",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -2,10 +2,10 @@
 
 An overloaded server that keeps accepting work converts *every* request
 into a timeout; one that sheds early keeps its goodput.  The
-:class:`AdmissionController` sits in :class:`~repro.api.server.NormServer`'s
-reader thread, *before* any tensor decode: it sees only the raw envelope
-dict (cheap JSON already parsed by the frame decoder) and decides in
-O(1) whether the request can plausibly meet its deadline.
+:class:`AdmissionController` sits in :class:`~repro.api.aserver.NormServer`'s
+read loop, *before* any tensor decode: it sees only the raw envelope dict
+(cheap JSON already parsed by the frame decoder) and decides in O(1)
+whether the request can plausibly meet its deadline.
 
 Two signals gate admission:
 
@@ -42,10 +42,10 @@ WORK_OPS = frozenset(
 
 
 class AdmissionController:
-    """Pre-decode load shedding for :class:`~repro.api.server.NormServer`.
+    """Pre-decode load shedding for :class:`~repro.api.aserver.NormServer`.
 
-    Thread-safe; one instance is shared by every connection's reader
-    thread.  The clock is injectable for deterministic tests.
+    Thread-safe; one instance is shared by every connection of a
+    server.  The clock is injectable for deterministic tests.
     """
 
     def __init__(
@@ -79,7 +79,7 @@ class AdmissionController:
     def check(self, payload: Dict[str, Any]) -> None:
         """Admit or shed one raw envelope; raises ``OverloadedError`` to shed.
 
-        Called from the reader thread before any decode beyond the JSON
+        Called from the server's read loop before any decode beyond the JSON
         parse the framing layer already did.  On success the request is
         counted in-flight; the server must pair every successful
         ``check`` with exactly one :meth:`complete`.
@@ -167,7 +167,7 @@ class PreDecodeGate:
 
     Composes per-tenant quota shedding (:mod:`repro.tenancy`) with the
     overload :class:`AdmissionController` behind one ``check`` call in the
-    reader thread, so both policies see the same peeked envelope (binary
+    server's read loop, so both policies see the same peeked envelope (binary
     frames: JSON preamble only) and both reject before any tensor buffer
     is materialized.
 

@@ -1,33 +1,39 @@
-"""`AsyncNormServer`: the asyncio server core.
+"""`NormServer`: the normalization service behind a TCP socket.
 
-Functionally identical to the threaded :class:`~repro.api.server.NormServer`
--- same wire protocol, same pre-decode shedding gate, same error taxonomy,
-same telemetry section keys, bit-identical responses -- but connections are
-coroutines on one event loop instead of a reader thread each, so holding
-10k mostly-idle connections costs kilobytes apiece rather than a thread
-stack.
+A dependency-free network front with **pipelined** request handling on one
+asyncio event loop: every connection is a coroutine, so holding 10k
+mostly-idle connections costs kilobytes apiece rather than a thread stack.
+A connection may have many requests in flight; responses go out **in
+completion order**, not arrival order (clients demultiplex by
+``request_id``).
 
 Division of labor per frame:
 
-* **event loop** -- incremental framing (:class:`FrameDecoder`), the
-  pre-decode gate (tenant quota + overload admission on the peeked JSON
-  preamble, before any tensor bytes are touched), shm control ops, chaos
-  gate, hello authentication, per-connection in-flight accounting.
-* **bounded executor** -- everything that touches tensors: payload decode,
-  request validation, ``execute`` engine runs, response encoding.  The
-  loop never blocks on kernels.
+* **event loop** -- incremental framing (:class:`FrameDecoder`, so a burst
+  of pipelined frames costs one read), the pre-decode gate (tenant quota +
+  overload admission on the peeked JSON preamble, before any tensor bytes
+  are touched), the zero-copy binary body decode of admitted frames, shm
+  control ops, chaos gate, hello authentication, per-connection in-flight
+  accounting, response framing.
+* **bounded executor** -- :meth:`ApiHandler.begin` (validate, submit into
+  the service's scheduler; ops that queue nothing run their whole dispatch
+  here), then, for a serving op once its batch ran, its ``finish``
+  (response envelope).  The loop never blocks on tensors or kernels, and
+  no executor thread waits for a batch.
 * **the service's scheduler thread** -- actual normalization work.
-  Serving ops are *submitted* (:meth:`ApiHandler.begin`), their
-  :class:`~repro.serving.batcher.ResponseFuture` done-callbacks bridged
-  onto the loop via ``call_soon_threadsafe`` -- which is what lets pending
-  requests from **all connections** pool in the continuous batching
-  scheduler and drain together each engine tick.
+  Concurrent frames from **all connections** pool in its queues and drain
+  together each engine tick; the loop awaits their futures.
 
-Shutdown mirrors the threaded core: :meth:`close` (callable from any
-thread, e.g. a SIGTERM handler) optionally drains admitted work for
-``drain_timeout`` seconds -- new frames are answered with a typed
-``overloaded`` "draining" error -- then tears the loop down and joins every
-thread it started.
+Per-connection in-flight is bounded (``max_inflight``): the reader stops
+reading once the bound is reached, which turns into TCP backpressure on the
+client instead of unbounded server-side buffering.
+
+Shutdown is cooperative and clean: :meth:`close` (callable from any
+thread, e.g. a SIGTERM handler) stops the listener, optionally drains
+admitted work for ``drain_timeout`` seconds -- new frames are answered
+with a typed ``overloaded`` "draining" error -- then tears the loop down,
+joins every thread it started and leaves the wrapped service untouched
+(the owner closes it).
 """
 
 from __future__ import annotations
@@ -38,10 +44,11 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from typing import Dict, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.api.admission import WORK_OPS, AdmissionController, PreDecodeGate
 from repro.api.envelopes import (
+    SCHEMA_VERSION,
     ApiError,
     AuthenticationError,
     ErrorResponse,
@@ -54,17 +61,97 @@ from repro.api.framing import (
     encode_frame,
     peek_payload,
 )
-from repro.api.handler import SERVING_OPS, ApiHandler
-from repro.api.server import (
-    SHM_CONTROL_OPS,
-    _applied_degradation,
-    shed_error_envelope,
-)
+from repro.api.handler import ApiHandler
+from repro.serving.batcher import ResponseFuture
 from repro.tenancy.quota import estimate_rows
 
+#: Transport-level control ops of the shared-memory tier: handled inline on
+#: the event loop, never parsed as API requests, never admitted as work.
+SHM_CONTROL_OPS = ("shm_attach", "shm_release")
 
-class _AsyncConnection:
-    """Per-connection pipelining state (the coroutine twin of _Connection)."""
+
+def parse_address(address: str) -> Tuple[str, int]:
+    """Split a ``host:port`` string (host may be empty for all interfaces)."""
+    host, separator, port = address.rpartition(":")
+    if not separator or not port.isdigit():
+        raise ValueError(f"expected HOST:PORT, got {address!r}")
+    return host or "0.0.0.0", int(port)
+
+
+def shed_error_envelope(
+    payload: dict, error: BaseException, min_version: int, max_version: int
+) -> dict:
+    """An error envelope for a frame rejected before reaching the handler.
+
+    Mirrors the handler's request_id / schema_version echo so shed
+    responses demultiplex and parse exactly like handled ones.
+    """
+    request_id = payload.get("request_id") if isinstance(payload, dict) else None
+    if isinstance(request_id, bool) or not isinstance(request_id, int):
+        request_id = None
+    envelope = ErrorResponse.from_exception(error, request_id).to_wire()
+    if isinstance(payload, dict):
+        version = payload.get("schema_version")
+        if (
+            not isinstance(version, bool)
+            and isinstance(version, int)
+            and min_version <= version <= max_version
+        ):
+            envelope["schema_version"] = version
+    return envelope
+
+
+def _applied_degradation(response: dict) -> Optional[int]:
+    """The ``degradation`` stamp of a response envelope, wherever it lives.
+
+    Single responses carry it at the top level, stream responses inside
+    ``result``, bulk responses per item in ``results`` (all items of one
+    bulk ran at one level -- the first is representative).
+    """
+    candidates = [response]
+    result = response.get("result")
+    if isinstance(result, dict):
+        candidates.append(result)
+    results = response.get("results")
+    if isinstance(results, (list, tuple)) and results and isinstance(results[0], dict):
+        candidates.append(results[0])
+    for candidate in candidates:
+        value = candidate.get("degradation")
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+    return None
+
+
+async def _resolved(loop: asyncio.AbstractEventLoop, pendings) -> None:
+    """Await scheduler futures on the loop without holding any thread.
+
+    Each :class:`ResponseFuture` done-callback fires on the scheduler's
+    thread; ``call_soon_threadsafe`` hops it onto the loop, where the last
+    one resolves the loop future awaited here.  Results and errors are
+    left for the handler's ``finish`` to map.
+    """
+    waiter = loop.create_future()
+    remaining = len(pendings)
+
+    def on_loop_done() -> None:
+        nonlocal remaining
+        remaining -= 1
+        if remaining == 0 and not waiter.done():
+            waiter.set_result(None)
+
+    def on_future_done(_future) -> None:
+        try:
+            loop.call_soon_threadsafe(on_loop_done)
+        except RuntimeError:
+            pass  # loop already closed mid-shutdown; nothing to wake
+
+    for pending in pendings:
+        pending.add_done_callback(on_future_done)
+    await waiter
+
+
+class _Connection:
+    """Per-connection pipelining state: send lock + in-flight bound."""
 
     __slots__ = (
         "writer",
@@ -92,34 +179,94 @@ class _AsyncConnection:
         decoder: FrameDecoder,
     ):
         self.writer = writer
+        #: Stable per-server ordinal (1-based connection counter), so the
+        #: telemetry's per-connection rows stay identifiable across snapshots.
         self.conn_id = conn_id
         self.send_lock = asyncio.Lock()
         #: The reader coroutine awaits this once ``max_inflight`` requests
         #: are being handled: reading pauses, the kernel buffer fills and
-        #: the client feels TCP backpressure -- exactly the threaded
-        #: server's contract, minus the blocked thread.
+        #: the client feels TCP backpressure.
         self.inflight = asyncio.Semaphore(max_inflight)
         self.inflight_count = 0
         self.peak_inflight = 0
         self.frames = 0
+        #: Times the reader found the in-flight bound exhausted and had to
+        #: wait -- each one is a stall that became TCP backpressure.
         self.backpressure_waits = 0
+        #: Set under ``send_lock`` once the transport is closed: a dispatch
+        #: task re-checks it under the same lock before writing.
         self.closed = False
+        #: Codec gauges: raw bytes read off / written to this connection,
+        #: and the encoding tag of the traffic it carries ("json" until a
+        #: binary frame or shm attach is seen).
         self.bytes_in = 0
         self.bytes_out = 0
         self.encoding = "json"
+        #: Per-connection shared-memory session (None until the client
+        #: sends ``shm_attach``).
         self.shm = None
+        #: :class:`~repro.tenancy.TenantContext` stamped by the hello
+        #: handshake's bearer token (None until a hello arrives; anonymous
+        #: connections stay None and are metered as "anonymous").
         self.tenant = None
         self.decoder = decoder
 
 
-class AsyncNormServer:
-    """Serve one :class:`NormalizationService` on an asyncio event loop.
+class NormServer:
+    """Serve one :class:`NormalizationService` over the wire protocol.
 
-    Drop-in for :class:`~repro.api.server.NormServer`: same constructor
-    surface (``workers`` sizes the executor that replaces the thread
-    pool), same ``start`` / ``close(drain_timeout=...)`` lifecycle, same
-    ``wire_snapshot`` keys.  Requires a *threaded* service (its scheduler
-    must drain itself; nothing pumps queues between submit and resolve).
+    Parameters
+    ----------
+    service:
+        The serving runtime to front.  Threaded services drain themselves;
+        inline ones (``threaded=False``) are drained by the handler that
+        waits on them, so both serve.
+    host / port:
+        Bind address; port 0 picks a free port (read :attr:`port` after
+        construction).
+    handler:
+        Override the request handler (tests inject size limits or schema
+        ranges).
+    max_frame_bytes:
+        Frame-size bound applied to every connection.
+    workers:
+        Size of the bounded executor that validates, submits and builds
+        responses.  Frames waiting for their batch hold no worker, so this
+        does not bound how many frames pool in the scheduler.
+    max_inflight:
+        Per-connection bound on requests being handled concurrently.
+    admission:
+        The :class:`~repro.api.admission.AdmissionController` shedding
+        work *before* decode when the queue is full or a request's
+        ``deadline_ms`` cannot plausibly be met.  Defaults to a
+        controller with ``max_queue_depth``; pass an instance to tune it.
+    max_queue_depth:
+        Queue bound of the default admission controller (ignored when
+        ``admission`` is passed).
+    ladder:
+        Opt-in :class:`~repro.serving.degrade.DegradationLadder`: under
+        sustained queue pressure, serving ops step down the paper's
+        fidelity knobs instead of shedding, and every response is stamped
+        with the level applied.  ``None`` (the default) disables
+        degradation entirely.
+    fault_gate:
+        Opt-in server-side chaos hook (:class:`~repro.chaos.gate.FaultGate`):
+        consulted once per received frame, it may delay, drop, corrupt or
+        kill deterministically from a seeded
+        :class:`~repro.chaos.plan.FaultPlan`.  ``None`` in production.
+    enable_shm:
+        Accept ``shm_attach`` requests (the same-host shared-memory
+        transport).  When off, attach attempts are refused and the client
+        falls back to binary TCP.
+    tenancy:
+        Opt-in :class:`~repro.tenancy.TenancyController`
+        (``haan-serve --tenants``): hello tokens authenticate connections,
+        per-tenant token buckets shed over-quota work on the event loop
+        *before* frame decode (sharing one
+        :class:`~repro.api.admission.PreDecodeGate` with overload
+        shedding), and every served request is metered into the tenant's
+        cost ledger before its response is sent.  ``None`` (the default)
+        serves anonymously and unmetered.
     """
 
     def __init__(
@@ -155,10 +302,14 @@ class AsyncNormServer:
         self.ladder = ladder
         self.fault_gate = fault_gate
         self.tenancy = tenancy
+        #: The single pre-decode shedding gate every peeked envelope runs
+        #: through: tenant quota first, then overload.
         self.gate = PreDecodeGate(
             self.admission, None if tenancy is None else tenancy.quota_check
         )
         if tenancy is not None and getattr(service, "cost_observer", False) is None:
+            # Wire the exact per-tenant cost split into the service's
+            # batch executor (only when nothing else claimed the hook).
             service.cost_observer = tenancy.cost_observer
         self.enable_shm = enable_shm
         # Bind synchronously so the port is known at construction (the
@@ -169,7 +320,7 @@ class AsyncNormServer:
         self._sock.listen(256)
         self.host, self.port = self._sock.getsockname()[:2]
         self._lock = threading.Lock()
-        self._connections: Dict[int, _AsyncConnection] = {}
+        self._connections: Dict[int, _Connection] = {}
         #: Strong refs to in-flight dispatch tasks (the loop only keeps
         #: weak ones; an untracked task can be garbage-collected mid-run).
         self._tasks: Set["asyncio.Task"] = set()
@@ -178,19 +329,24 @@ class AsyncNormServer:
         self._thread: Optional[threading.Thread] = None
         self._startup_error: Optional[BaseException] = None
         self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="haan-async-worker"
+            max_workers=workers, thread_name_prefix="haan-server-worker"
         )
         self._closing = False
         self._draining = False
         self.requests_served = 0
+        #: Wire/pipelining gauges (guarded by ``_lock``).
         self.connections_total = 0
         self.frames_received = 0
         self.peak_inflight = 0
         self.backpressure_waits = 0
+        #: Codec totals folded in from connections that already closed;
+        #: live connections contribute their own gauges at snapshot time.
         self._retired_bytes_in = 0
         self._retired_bytes_out = 0
         self._retired_frames_json = 0
         self._retired_frames_binary = 0
+        # Surface the wire gauges in the service's telemetry snapshot (and
+        # therefore in the `telemetry` op and the haan-serve summary).
         attach = getattr(service.telemetry, "attach_section", None)
         if attach is not None:
             attach("wire", self.wire_snapshot)
@@ -207,7 +363,7 @@ class AsyncNormServer:
         """``host:port`` the server is listening on."""
         return f"{self.host}:{self.port}"
 
-    def start(self) -> "AsyncNormServer":
+    def start(self) -> "NormServer":
         """Start the event-loop thread and begin accepting (idempotent)."""
         with self._lock:
             if self._closing:
@@ -218,7 +374,7 @@ class AsyncNormServer:
             self._thread = threading.Thread(
                 target=self._run_loop,
                 args=(started,),
-                name="haan-async-server",
+                name="haan-server-loop",
                 daemon=True,
             )
         self._thread.start()
@@ -226,7 +382,7 @@ class AsyncNormServer:
         if self._startup_error is not None:
             error = self._startup_error
             self._thread.join(timeout=5.0)
-            raise RuntimeError(f"async server failed to start: {error}") from error
+            raise RuntimeError(f"server failed to start: {error}") from error
         return self
 
     def _run_loop(self, started: threading.Event) -> None:
@@ -262,10 +418,12 @@ class AsyncNormServer:
         """Stop accepting, optionally drain, tear the loop down, join threads.
 
         Callable from any thread (the ``haan-serve`` SIGTERM handler calls
-        it from the main thread).  Semantics match the threaded core:
-        ``drain_timeout`` > 0 lets admitted frames finish (new work is
-        answered with a typed ``overloaded`` "draining" error) before the
-        connections are cut.
+        it from the main thread).  ``drain_timeout`` > 0 performs a
+        graceful drain first: frames already admitted keep executing and
+        their responses are flushed, while new work is answered with a
+        typed ``overloaded`` "draining" error -- for up to
+        ``drain_timeout`` seconds, after which the connections are cut
+        unconditionally.  The default (0) shuts down immediately.
         """
         with self._lock:
             if self._closing:
@@ -295,9 +453,9 @@ class AsyncNormServer:
             pass
         thread.join(timeout=10.0)
         self._pool.shutdown(wait=True)
-        # Freeze the final wire gauges so the shutdown summary still reports
-        # session totals without pinning this closed server (mirror of the
-        # threaded core).
+        # Swap the live wire-gauge provider for a frozen final snapshot:
+        # the shutdown summary still reports the session's totals, but the
+        # (possibly long-lived) service no longer pins this closed server.
         attach = getattr(self.service.telemetry, "attach_section", None)
         if attach is not None:
             final_snapshot = self.wire_snapshot()
@@ -327,7 +485,7 @@ class AsyncNormServer:
             except Exception:  # noqa: BLE001 -- transport may be half-dead
                 pass
 
-    def __enter__(self) -> "AsyncNormServer":
+    def __enter__(self) -> "NormServer":
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
@@ -336,7 +494,13 @@ class AsyncNormServer:
     # -- telemetry -----------------------------------------------------------
 
     def wire_snapshot(self) -> Dict[str, object]:
-        """Pipelining/wire gauges; keys identical to the threaded core's."""
+        """Pipelining/wire gauges for the telemetry snapshot.
+
+        A **stable** section: the scalar gauges plus one ``per_connection``
+        row per live connection (in accept order), consumed by the
+        ``haan-serve`` summary, ``/metrics`` and the per-replica fleet
+        table alike.
+        """
         with self._lock:
             live = sorted(self._connections.values(), key=lambda c: c.conn_id)
             frames_json = self._retired_frames_json
@@ -382,16 +546,22 @@ class AsyncNormServer:
         if sock is not None:
             try:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                # Accepted sockets hold the port after close (FIN_WAIT)
+                # while a client keeps its end open; mark them reusable so
+                # a restarted server can rebind immediately.
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             except OSError:
                 pass
+        # Raw framing: the decoder splits the byte stream into frame bodies
+        # but defers payload decoding, so the shedding gate can peek a
+        # binary frame's JSON preamble without materializing its tensors.
         decoder = FrameDecoder(self.max_frame_bytes, raw=True)
         with self._lock:
             if self._closing and not self._draining:
                 writer.close()
                 return
             self.connections_total += 1
-            connection = _AsyncConnection(
+            connection = _Connection(
                 writer, self.max_inflight, self.connections_total, decoder
             )
             self._connections[connection.conn_id] = connection
@@ -400,20 +570,13 @@ class AsyncNormServer:
         finally:
             with self._lock:
                 self._connections.pop(connection.conn_id, None)
+                # Fold the codec gauges into the retired totals so the
+                # session-wide counters survive the connection.
                 self._retired_bytes_in += connection.bytes_in
                 self._retired_bytes_out += connection.bytes_out
                 self._retired_frames_json += decoder.frames_json
                 self._retired_frames_binary += decoder.frames_binary
-            # Mark closed under the send lock first: a dispatch task
-            # holding this connection re-checks ``closed`` under the same
-            # lock before writing (the threaded core's fd-reuse guard,
-            # translated to transports).
-            async with connection.send_lock:
-                connection.closed = True
-                try:
-                    writer.close()
-                except Exception:  # noqa: BLE001
-                    pass
+            await self._drop(connection)
             if connection.shm is not None:
                 connection.shm.close()
                 connection.shm = None
@@ -421,10 +584,10 @@ class AsyncNormServer:
     async def _read_loop(
         self,
         reader: asyncio.StreamReader,
-        connection: _AsyncConnection,
+        connection: _Connection,
         decoder: FrameDecoder,
     ) -> None:
-        """The reader state machine -- step-for-step the threaded server's."""
+        """Frame, gate and dispatch everything one connection sends."""
         loop = asyncio.get_running_loop()
         while True:
             try:
@@ -437,11 +600,15 @@ class AsyncNormServer:
             try:
                 frames = decoder.feed(data)
             except ApiError as error:
+                # Oversized or malformed frame: the stream cannot be
+                # resynchronized, so report once and drop the link.
                 await self._try_send(
                     connection, ErrorResponse.from_exception(error).to_wire()
                 )
                 return
             if frames and connection.shm is None and decoder.last_kind is not None:
+                # Tag the connection with the traffic it carries; an shm
+                # attach overrides this for good.
                 connection.encoding = decoder.last_kind
             for body in frames:
                 try:
@@ -457,6 +624,9 @@ class AsyncNormServer:
                     await self._handle_shm_control(connection, payload)
                     continue
                 if self.fault_gate is not None:
+                    # Server-side chaos: the gate decides per frame from its
+                    # seeded plan.  Delay falls through to normal handling;
+                    # drop/corrupt/kill short-circuit.
                     action = self.fault_gate.on_server_frame(payload)
                     if action is not None:
                         if action.delay_s > 0:
@@ -469,15 +639,16 @@ class AsyncNormServer:
                         if action.kind == "kill":
                             return
                 if self.tenancy is not None and payload.get("op") == "hello":
+                    # Authenticate the connection from the hello's bearer
+                    # token; a rejected token answers the hello itself with
+                    # a typed error, which fails the client's handshake.
                     token = payload.get("token")
                     try:
                         connection.tenant = self.tenancy.authenticate(
                             token if isinstance(token, str) else None
                         )
                     except ApiError as error:
-                        await self._try_send(
-                            connection, self._error_envelope(payload, error)
-                        )
+                        await self._reject(connection, payload, error)
                         continue
                 is_work = payload.get("op") in WORK_OPS
                 if (
@@ -486,28 +657,24 @@ class AsyncNormServer:
                     and self.tenancy.require_auth
                     and (connection.tenant is None or not connection.tenant.authenticated)
                 ):
-                    await self._try_send(
+                    await self._reject(
                         connection,
-                        self._error_envelope(
-                            payload,
-                            AuthenticationError(
-                                "this server requires a tenant bearer token; "
-                                "reconnect with token=... / --token"
-                            ),
+                        payload,
+                        AuthenticationError(
+                            "this server requires a tenant bearer token; "
+                            "reconnect with token=... / --token"
                         ),
                     )
                     continue
-                # The shedding gate *before* any tensor decode, evaluated
-                # right here on the event loop -- O(1) on the peeked
-                # preamble, so a shed request never touches the executor.
+                # The shedding gate *before* any tensor decode, right here
+                # on the event loop -- O(1) on the peeked preamble, so a
+                # shed request never touches the executor.
                 try:
                     self.gate.check(
                         payload, tenant=connection.tenant, nbytes=len(body)
                     )
-                except (OverloadedError, ApiError) as error:
-                    await self._try_send(
-                        connection, self._error_envelope(payload, error)
-                    )
+                except ApiError as error:
+                    await self._reject(connection, payload, error)
                     continue
                 # Awaiting at max_inflight pauses this coroutine's reads:
                 # backpressure, not buffering.
@@ -527,36 +694,28 @@ class AsyncNormServer:
                     closing = self._closing
                     draining = self._draining
                 if closing:
-                    connection.inflight.release()
-                    with self._lock:
-                        connection.inflight_count -= 1
-                    if is_work:
-                        self.admission.complete()
+                    self._unadmit(connection, is_work)
                     if not draining:
+                        # Immediate shutdown: stop reading; the dropped
+                        # connection surfaces client-side as a
+                        # TransportError, never a typed response racing
+                        # the teardown.
                         return
-                    await self._try_send(
+                    await self._reject(
                         connection,
-                        self._error_envelope(
-                            payload,
-                            OverloadedError(
-                                "server is draining and accepts no new work"
-                            ),
-                        ),
+                        payload,
+                        OverloadedError("server is draining and accepts no new work"),
                     )
                     continue
                 if is_binary:
-                    # Admitted: only now pay for the tensor buffers -- and
-                    # in the executor, never on the loop.
+                    # Admitted: only now walk the buffer table.  The decode
+                    # is zero-copy (memoryviews, no tensor byte touched), so
+                    # it runs right here -- and a corrupt body drops the link
+                    # before any frame pipelined behind it is dispatched.
                     try:
-                        payload = await loop.run_in_executor(
-                            self._pool, decode_payload, body
-                        )
+                        payload = decode_payload(body)
                     except ApiError as error:
-                        connection.inflight.release()
-                        with self._lock:
-                            connection.inflight_count -= 1
-                        if is_work:
-                            self.admission.complete()
+                        self._unadmit(connection, is_work)
                         await self._try_send(
                             connection, ErrorResponse.from_exception(error).to_wire()
                         )
@@ -567,99 +726,108 @@ class AsyncNormServer:
                 self._tasks.add(task)
                 task.add_done_callback(self._tasks.discard)
 
+    def _unadmit(self, connection: _Connection, is_work: bool) -> None:
+        """Give back an admitted frame's in-flight and queue slots unserved."""
+        connection.inflight.release()
+        with self._lock:
+            connection.inflight_count -= 1
+        if is_work:
+            self.admission.complete()
+
     async def _handle_one(
         self,
-        connection: _AsyncConnection,
+        connection: _Connection,
         payload: dict,
-        is_work: bool = False,
-        nbytes: int = 0,
+        is_work: bool,
+        nbytes: int,
     ) -> None:
-        """Dispatch-task body: handle one envelope, send its response frame."""
+        """Dispatch-task body: handle one admitted envelope, send its response.
+
+        Every op starts with one executor call (:meth:`_begin_frame`).  A
+        serving op whose batch has not run yet comes back with its
+        scheduler futures: they are awaited here on the loop, holding no
+        executor thread -- so frames from all connections pool in the
+        scheduler together, however few workers there are -- and a second
+        executor call builds its response.  Work is metered *before* the
+        response is sent, so a client that reads its answer and then
+        scrapes metrics always sees the request counted.
+        """
         loop = asyncio.get_running_loop()
         started = time.perf_counter()
         try:
-            if connection.shm is not None:
-                try:
-                    payload = connection.shm.resolve_inbound(payload)
-                except ApiError as error:
-                    await self._try_send(
-                        connection, self._error_envelope(payload, error)
-                    )
-                    return
-            degrade_level = 0
-            if self.ladder is not None and is_work:
-                degrade_level = self.ladder.observe(self.admission.pressure())
-            tenant_name = (
-                connection.tenant.name if connection.tenant is not None else None
-            )
-            if payload.get("op") in SERVING_OPS:
-                # Submit into the batching scheduler and yield the loop
-                # while the engine works; handler.begin/finish run in the
-                # executor (they decode/encode tensors).
-                pendings, finish = await loop.run_in_executor(
-                    self._pool, self.handler.begin, payload, degrade_level, tenant_name
+            try:
+                degrade_level = 0
+                if self.ladder is not None and is_work:
+                    degrade_level = self.ladder.observe(self.admission.pressure())
+                tenant_name = (
+                    connection.tenant.name if connection.tenant is not None else None
                 )
-                if pendings:
-                    await self._await_pendings(loop, pendings)
-                response = await loop.run_in_executor(self._pool, finish)
-            else:
-                # execute/spec/hello/ping/telemetry: one blocking handler
-                # call in the executor (execute runs kernels; telemetry
-                # snapshots can be large).
-                response = await loop.run_in_executor(
-                    self._pool, self.handler.handle, payload, degrade_level, tenant_name
+                response, pendings, finish = await loop.run_in_executor(
+                    self._pool,
+                    self._begin_frame,
+                    connection,
+                    payload,
+                    degrade_level,
+                    tenant_name,
                 )
+                if response is None:
+                    await _resolved(loop, pendings)
+                    response = await loop.run_in_executor(self._pool, finish)
+            finally:
+                # Exactly once per admitted frame, whatever happened above.
+                if is_work:
+                    elapsed = time.perf_counter() - started
+                    self.admission.complete(elapsed)
+                    if self.tenancy is not None:
+                        # Modelled cycles/energy arrive separately via the
+                        # service's cost observer, split exactly per batch.
+                        self.tenancy.charge_request(
+                            connection.tenant,
+                            rows=estimate_rows(payload),
+                            nbytes=nbytes,
+                            wall_seconds=elapsed,
+                        )
             if self.ladder is not None and is_work:
                 applied = _applied_degradation(response)
                 if applied is not None:
                     self.ladder.record_applied(applied)
-            sent = await self._try_send(connection, response)
-            if sent:
+            if await self._try_send(connection, response):
                 with self._lock:
                     self.requests_served += 1
         finally:
-            elapsed = time.perf_counter() - started
-            if is_work:
-                self.admission.complete(elapsed)
-                if self.tenancy is not None:
-                    self.tenancy.charge_request(
-                        connection.tenant,
-                        rows=estimate_rows(payload),
-                        nbytes=nbytes,
-                        wall_seconds=elapsed,
-                    )
             with self._lock:
                 connection.inflight_count -= 1
             connection.inflight.release()
 
-    @staticmethod
-    async def _await_pendings(loop: asyncio.AbstractEventLoop, pendings) -> None:
-        """Await scheduler futures without blocking any thread.
+    def _begin_frame(
+        self,
+        connection: _Connection,
+        payload: dict,
+        degrade_level: int,
+        tenant: Optional[str],
+    ) -> Tuple[Optional[dict], List[ResponseFuture], Optional[Callable[[], dict]]]:
+        """Executor body: validate and submit one envelope.
 
-        Each :class:`ResponseFuture` done-callback fires on the scheduler's
-        executor thread; ``call_soon_threadsafe`` hops it onto the loop,
-        where the last one resolves a loop future this coroutine awaits.
-        Results/errors are *not* extracted here -- ``finish()`` does that
-        through the shared taxonomy mapping.
+        Returns ``(response, pendings, finish)``.  ``response`` is the
+        finished envelope whenever it can be built at once: every op that
+        queues nothing in the scheduler, a failed shm resolve, and a
+        serving op whose batch already ran (an inline service drains its
+        queues right here).  Otherwise it is ``None``, and ``finish``
+        builds the response once every future in ``pendings`` is done.
         """
-        waiter = loop.create_future()
-        remaining = len(pendings)
-
-        def on_loop_done() -> None:
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0 and not waiter.done():
-                waiter.set_result(None)
-
-        def on_future_done(_future) -> None:
+        if connection.shm is not None:
             try:
-                loop.call_soon_threadsafe(on_loop_done)
-            except RuntimeError:
-                pass  # loop already closed mid-shutdown; nothing to wake
-
-        for pending in pendings:
-            pending.add_done_callback(on_future_done)
-        await waiter
+                # Swap shm slab descriptors for zero-copy views over the
+                # shared segment before the handler sees the envelope.
+                payload = connection.shm.resolve_inbound(payload)
+            except ApiError as error:
+                return self._error_envelope(payload, error), [], None
+        pendings, finish = self.handler.begin(payload, degrade_level, tenant)
+        if pendings:
+            self.handler.service.run_queued()
+            if not all(pending.done() for pending in pendings):
+                return None, pendings, finish
+        return finish(), [], None
 
     def _error_envelope(self, payload: dict, error: BaseException) -> dict:
         return shed_error_envelope(
@@ -671,32 +839,27 @@ class AsyncNormServer:
 
     # -- sending -------------------------------------------------------------
 
-    async def _send_raw(self, connection: _AsyncConnection, data: bytes) -> None:
-        """Write raw bytes (a chaos-corrupted frame) under the send lock."""
-        try:
-            async with connection.send_lock:
-                if connection.closed:
-                    return
-                connection.writer.write(data)
-                connection.bytes_out += len(data)
-                await connection.writer.drain()
-        except (OSError, ConnectionError):
-            pass
+    async def _reject(
+        self, connection: _Connection, payload: dict, error: BaseException
+    ) -> None:
+        """Answer a frame refused before the handler with a typed error."""
+        await self._try_send(connection, self._error_envelope(payload, error))
 
-    async def _try_send(self, connection: _AsyncConnection, payload: dict) -> bool:
-        try:
-            if connection.shm is not None:
-                payload = connection.shm.stage_outbound(payload)
-            data = encode_frame(payload, self.max_frame_bytes)
-        except ApiError as error:
-            # The *response* outgrew the frame limit: replace it with an
-            # error envelope so the client is never left hanging.
-            fallback = ErrorResponse.from_exception(error).to_wire()
-            fallback["request_id"] = payload.get("request_id")
+    async def _drop(self, connection: _Connection) -> None:
+        """Close the transport, flagging it under the send lock first.
+
+        A dispatch task holding this connection re-checks ``closed`` under
+        the same lock before writing, so nothing is written after the drop.
+        """
+        async with connection.send_lock:
+            connection.closed = True
             try:
-                data = encode_frame(fallback, self.max_frame_bytes)
-            except ApiError:
-                return False
+                connection.writer.close()
+            except Exception:  # noqa: BLE001 -- transport may be half-dead
+                pass
+
+    async def _send_raw(self, connection: _Connection, data: bytes) -> bool:
+        """Write one encoded frame (or chaos garbage) under the send lock."""
         try:
             async with connection.send_lock:
                 if connection.closed:
@@ -708,14 +871,32 @@ class AsyncNormServer:
         except (OSError, ConnectionError):
             return False
 
+    async def _try_send(self, connection: _Connection, payload: dict) -> bool:
+        try:
+            if connection.shm is not None:
+                # Move response tensors into the shared ring; on a full
+                # ring this degrades to inline binary in the frame itself.
+                payload = connection.shm.stage_outbound(payload)
+            data = encode_frame(payload, self.max_frame_bytes)
+        except ApiError as error:
+            # The *response* outgrew the frame limit: replace it with an
+            # error envelope so the client is never left hanging.
+            fallback = ErrorResponse.from_exception(error).to_wire()
+            fallback["request_id"] = payload.get("request_id")
+            try:
+                data = encode_frame(fallback, self.max_frame_bytes)
+            except ApiError:
+                return False
+        return await self._send_raw(connection, data)
+
     # -- shm control ---------------------------------------------------------
 
-    async def _handle_shm_control(
-        self, connection: _AsyncConnection, payload: dict
-    ) -> None:
-        """shm_attach / shm_release, handled inline (never admitted as work)."""
-        from repro.api.envelopes import SCHEMA_VERSION
+    async def _handle_shm_control(self, connection: _Connection, payload: dict) -> None:
+        """shm_attach / shm_release, handled inline (never admitted as work).
 
+        These are transport plumbing, not work: a release must succeed
+        even when the server sheds.
+        """
         op = payload.get("op")
         if op == "shm_attach":
             request_id = payload.get("request_id")
@@ -737,9 +918,12 @@ class AsyncNormServer:
                     connection.encoding = "shm"
                     ack["accepted"] = True
                 except (ApiError, OSError, ValueError) as error:
+                    # Refuse but keep the socket: the client falls back to
+                    # inline binary frames over TCP.
                     ack["accepted"] = False
                     ack["reason"] = str(error)
             await self._try_send(connection, ack)
         elif op == "shm_release":
+            # One-way: no response, releases are fire-and-forget.
             if connection.shm is not None:
                 connection.shm.release(payload.get("slabs"))

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.api.client import NormClient
 from repro.api.envelopes import ApiError
-from repro.api.server import parse_address
+from repro.api import parse_address
 
 
 def build_parser() -> argparse.ArgumentParser:

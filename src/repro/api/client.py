@@ -4,7 +4,7 @@ The client encodes ndarray payloads into versioned envelopes, sends them
 through a pluggable :class:`~repro.api.transport.Transport`, and decodes
 the responses back into arrays -- so the exact same calling code runs
 against an in-process :class:`NormalizationService` or a remote
-:class:`~repro.api.server.NormServer`::
+:class:`~repro.api.aserver.NormServer`::
 
     with NormClient.in_process() as client:          # local
         result = client.normalize(rows, "tiny")

@@ -2,10 +2,16 @@
 
 The single place wire requests become :class:`NormalizationService` calls.
 Both transports share it -- :class:`~repro.api.transport.InProcessTransport`
-invokes it directly and :class:`~repro.api.server.NormServer` invokes it per
+invokes it directly and :class:`~repro.api.aserver.NormServer` invokes it per
 received frame -- so local and remote clients run the *same* validation,
 error taxonomy and execution path, which is what makes the bit-equivalence
 guarantee between transports structural rather than tested-by-luck.
+
+Every op has exactly one implementation, split in two phases:
+:meth:`ApiHandler.begin` validates, decodes and submits (serving ops land in
+the service's scheduler without blocking), and the ``finish`` it returns
+builds the response envelope once the submitted futures are done.
+:meth:`ApiHandler.handle` is ``begin`` -> wait -> ``finish``.
 
 Validation failures never escape as raw exceptions: every handled request
 returns exactly one response envelope, with :class:`ApiError` members
@@ -56,12 +62,6 @@ from repro.api.envelopes import (
     negotiate_version,
     parse_request,
 )
-
-
-#: Ops that flow through the service's batching scheduler.  The async
-#: server submits these via :meth:`ApiHandler.begin` (futures bridged onto
-#: the event loop) instead of blocking an executor thread in ``handle``.
-SERVING_OPS = frozenset({"normalize", "normalize_bulk", "stream"})
 
 
 class ApiHandler:
@@ -132,25 +132,15 @@ class ApiHandler:
         envelope arrived on (None = anonymous); serving ops carry it into
         the service so the cost ledger can attribute the batch's modelled
         cycles/energy per tenant.  It never affects the computation.
+
+        Blocks until the request's batch ran: ``begin``, then the service
+        waits on the pendings (an inline service drains its queues right
+        here), then ``finish``.
         """
-        request_id, echo_version = self._preamble(payload)
-        try:
-            request = parse_request(payload)
-        except ApiError as error:
-            return self._stamp(
-                ErrorResponse.from_exception(error, request_id).to_wire(), echo_version
-            )
-        try:
-            return self._stamp(
-                self._dispatch(request, degrade_level, tenant).to_wire(), echo_version
-            )
-        except BaseException as error:  # noqa: BLE001 -- one envelope per request
-            if not isinstance(error, Exception):
-                raise  # KeyboardInterrupt / SystemExit propagate to the server
-            return self._stamp(
-                ErrorResponse.from_exception(error, request.request_id).to_wire(),
-                echo_version,
-            )
+        pendings, finish = self.begin(payload, degrade_level, tenant)
+        if pendings:
+            self.service.wait(pendings)
+        return finish()
 
     def _preamble(self, payload: Any) -> Tuple[Optional[int], Optional[int]]:
         """``(request_id, echo_version)`` salvaged from a raw envelope."""
@@ -175,30 +165,26 @@ class ApiHandler:
             response["schema_version"] = echo_version
         return response
 
-    # -- async entry point ---------------------------------------------------
-
     def begin(
         self, payload: Any, degrade_level: int = 0, tenant: Optional[str] = None
     ):
-        """Submit a serving op without blocking on its result.
+        """Validate and submit one request without blocking on its result.
 
-        The non-blocking counterpart of :meth:`handle` for the ops in
-        :data:`SERVING_OPS` (the ones that flow through the batching
-        scheduler).  Validates and decodes the envelope, submits into the
-        service, and returns ``(pendings, finish)``:
+        Accepts every op and returns ``(pendings, finish)``:
 
-        * ``pendings`` -- the :class:`ResponseFuture` objects the request
-          enqueued (empty when validation already failed);
+        * ``pendings`` -- the :class:`ResponseFuture` objects a serving op
+          (``normalize`` / ``normalize_bulk`` / ``stream``) enqueued in the
+          service; empty for every other op and whenever validation
+          already failed;
         * ``finish()`` -- builds the response envelope; the caller must
-          invoke it only once every pending future is done (the async
-          server awaits their done-callbacks), after which it never
-          blocks.
+          invoke it only once every pending future is done.  Non-serving
+          ops (``execute``, ``spec``, ``hello``, ``ping``, ``telemetry``)
+          run their whole dispatch here.
 
-        Never raises: failures become error envelopes exactly as in
-        :meth:`handle`, with the same taxonomy mapping -- both entry points
-        produce bit-identical envelopes for the same request.  Requires a
-        service whose scheduler drains itself (threaded mode): nothing
-        pumps the queues between ``begin`` and ``finish``.
+        Never raises: failures become error envelopes through the shared
+        taxonomy mapping.  Nothing pumps an inline service's queues
+        between ``begin`` and ``finish`` -- :meth:`handle` does that via
+        the service's ``wait``.
         """
         request_id, echo_version = self._preamble(payload)
         try:
@@ -209,20 +195,10 @@ class ApiHandler:
             )
             return [], lambda: envelope
         try:
-            if isinstance(request, NormalizeRequest):
-                pendings, build = self._begin_normalize(request, degrade_level, tenant)
-            elif isinstance(request, NormalizeBulkRequest):
-                pendings, build = self._begin_bulk(request, degrade_level, tenant)
-            elif isinstance(request, StreamChunkRequest):
-                pendings, build = self._begin_stream(request, degrade_level, tenant)
-            else:
-                raise BadSchemaError(
-                    f"op {getattr(request, 'op', '?')!r} is not a serving op; "
-                    f"dispatch it through handle()"
-                )
+            pendings, build = self._begin(request, degrade_level, tenant)
         except BaseException as error:  # noqa: BLE001 -- one envelope per request
             if not isinstance(error, Exception):
-                raise
+                raise  # KeyboardInterrupt / SystemExit propagate to the server
             envelope = self._stamp(
                 ErrorResponse.from_exception(error, request.request_id).to_wire(),
                 echo_version,
@@ -242,13 +218,18 @@ class ApiHandler:
 
         return pendings, finish
 
-    def _dispatch(self, request, degrade_level: int = 0, tenant: Optional[str] = None):
+    def _begin(self, request, degrade_level: int, tenant: Optional[str]):
+        """``(pendings, build)`` of one parsed request."""
         if isinstance(request, NormalizeRequest):
-            return self._normalize(request, degrade_level, tenant)
+            return self._begin_normalize(request, degrade_level, tenant)
         if isinstance(request, NormalizeBulkRequest):
-            return self._normalize_bulk(request, degrade_level, tenant)
+            return self._begin_bulk(request, degrade_level, tenant)
         if isinstance(request, StreamChunkRequest):
-            return self._stream(request, degrade_level, tenant)
+            return self._begin_stream(request, degrade_level, tenant)
+        return [], lambda: self._dispatch(request)
+
+    def _dispatch(self, request):
+        """Run a non-serving op to its response (called from ``finish``)."""
         if isinstance(request, SpecRequest):
             return self._spec(request)
         if isinstance(request, ExecuteSpecRequest):
@@ -293,21 +274,6 @@ class ApiHandler:
 
     # -- ops ----------------------------------------------------------------
 
-    def _normalize(
-        self,
-        request: NormalizeRequest,
-        degrade_level: int = 0,
-        tenant: Optional[str] = None,
-    ) -> NormalizeResponse:
-        self._check_backend(request.backend)
-        self._check_model(request.model)
-        self._check_size(request.tensor)
-        array = self._decode_rows(request.tensor, "normalize")
-        response = self._service_normalize(
-            array, request, degrade=degrade_level, tenant=tenant
-        )
-        return self._build_normalize(request, response)
-
     @staticmethod
     def _build_normalize(
         request: NormalizeRequest, response
@@ -351,51 +317,42 @@ class ApiHandler:
         except (ValueError, IndexError) as error:
             raise BadSchemaError(str(error)) from error
 
-    def _service_normalize(
-        self, array: np.ndarray, request, context=None, degrade: int = 0, tenant=None
-    ):
-        return self._call_service(
-            self.service.normalize,
-            array,
-            request.model,
+    @staticmethod
+    def _submit_kwargs(request, degrade: int, tenant: Optional[str]) -> Dict[str, Any]:
+        """The service-call keywords a serving request carries."""
+        return dict(
             layer_index=request.layer_index,
             dataset=request.dataset,
             reference=request.reference,
             backend=request.backend,
             accelerator=request.accelerator,
-            context=context,
             degrade=degrade,
             tenant=tenant,
             deadline_ms=request.deadline_ms,
         )
 
-    def _service_submit(
-        self, array: np.ndarray, request, context=None, degrade: int = 0, tenant=None
+    def _submit_one(
+        self, request, where: str, degrade: int, tenant: Optional[str], context=None
     ):
-        """Non-blocking twin of :meth:`_service_normalize` (async path)."""
+        """Validate, decode and submit a single-tensor serving request."""
+        self._check_backend(request.backend)
+        self._check_model(request.model)
+        self._check_size(request.tensor)
+        array = self._decode_rows(request.tensor, where)
         return self._call_service(
             self.service.submit,
             array,
             request.model,
-            layer_index=request.layer_index,
-            dataset=request.dataset,
-            reference=request.reference,
-            backend=request.backend,
-            accelerator=request.accelerator,
             context=context,
-            degrade=degrade,
-            tenant=tenant,
-            deadline_ms=request.deadline_ms,
+            **self._submit_kwargs(request, degrade, tenant),
         )
 
     def _resolve(self, future):
         """A completed future's response, with the shared taxonomy mapping.
 
-        ``result(0)`` never blocks (callers only invoke this after the
-        done-callback fired); execution failures surface here and map onto
-        the same :class:`ApiError` members as the synchronous path, so the
-        async server's error envelopes are bit-identical to the threaded
-        server's.
+        ``result(0)`` never blocks (``finish`` only runs once every pending
+        future is done); execution failures surface here and map onto the
+        same :class:`ApiError` members as submit-time failures.
         """
         return self._call_service(future.result, 0)
 
@@ -405,44 +362,10 @@ class ApiHandler:
         degrade_level: int,
         tenant: Optional[str],
     ):
-        self._check_backend(request.backend)
-        self._check_model(request.model)
-        self._check_size(request.tensor)
-        array = self._decode_rows(request.tensor, "normalize")
-        future = self._service_submit(
-            array, request, degrade=degrade_level, tenant=tenant
-        )
+        future = self._submit_one(request, "normalize", degrade_level, tenant)
         return [future], lambda: self._build_normalize(
             request, self._resolve(future)
         )
-
-    def _normalize_bulk(
-        self,
-        request: NormalizeBulkRequest,
-        degrade_level: int = 0,
-        tenant: Optional[str] = None,
-    ) -> NormalizeBulkResponse:
-        self._check_backend(request.backend)
-        self._check_model(request.model)
-        self._check_bulk_size(request)
-        arrays = self._decode_bulk(request)
-        # normalize_many lands the whole list in the micro-batcher under
-        # one lock acquisition -- a single remote frame fills a batch by
-        # itself instead of waiting for cross-client coalescing.
-        responses = self._call_service(
-            self.service.normalize_many,
-            arrays,
-            request.model,
-            layer_index=request.layer_index,
-            dataset=request.dataset,
-            reference=request.reference,
-            backend=request.backend,
-            accelerator=request.accelerator,
-            degrade=degrade_level,
-            tenant=tenant,
-            deadline_ms=request.deadline_ms,
-        )
-        return self._build_bulk(request, responses)
 
     def _check_bulk_size(self, request: NormalizeBulkRequest) -> None:
         # Size-check the whole request (per tensor AND aggregate) before any
@@ -487,18 +410,14 @@ class ApiHandler:
         self._check_model(request.model)
         self._check_bulk_size(request)
         arrays = self._decode_bulk(request)
+        # submit_many lands the whole list in the scheduler under one lock
+        # acquisition -- a single remote frame fills a batch by itself
+        # instead of waiting for cross-client coalescing.
         futures = self._call_service(
             self.service.submit_many,
             arrays,
             request.model,
-            layer_index=request.layer_index,
-            dataset=request.dataset,
-            reference=request.reference,
-            backend=request.backend,
-            accelerator=request.accelerator,
-            degrade=degrade_level,
-            tenant=tenant,
-            deadline_ms=request.deadline_ms,
+            **self._submit_kwargs(request, degrade_level, tenant),
         )
         return list(futures), lambda: self._build_bulk(
             request, [self._resolve(future) for future in futures]
@@ -517,27 +436,6 @@ class ApiHandler:
             batch_latency=float(response.batch_latency),
             degradation=response.degradation,
         )
-
-    def _stream(
-        self,
-        request: StreamChunkRequest,
-        degrade_level: int = 0,
-        tenant: Optional[str] = None,
-    ) -> StreamChunkResponse:
-        from repro.llm.hooks import ActivationContext
-
-        self._check_backend(request.backend)
-        self._check_model(request.model)
-        self._check_size(request.tensor)
-        array = self._decode_rows(request.tensor, "stream")
-        # A fresh context per chunk mirrors ``NormalizationService.stream``:
-        # chunks are independent token groups, so cross-layer ISD state must
-        # not leak between them (nor between interleaved streams).
-        response = self._service_normalize(
-            array, request, context=ActivationContext(), degrade=degrade_level,
-            tenant=tenant,
-        )
-        return self._build_stream(request, response)
 
     def _build_stream(
         self, request: StreamChunkRequest, response
@@ -560,13 +458,11 @@ class ApiHandler:
     ):
         from repro.llm.hooks import ActivationContext
 
-        self._check_backend(request.backend)
-        self._check_model(request.model)
-        self._check_size(request.tensor)
-        array = self._decode_rows(request.tensor, "stream")
-        future = self._service_submit(
-            array, request, context=ActivationContext(), degrade=degrade_level,
-            tenant=tenant,
+        # A fresh context per chunk mirrors ``NormalizationService.stream``:
+        # chunks are independent token groups, so cross-layer ISD state must
+        # not leak between them (nor between interleaved streams).
+        future = self._submit_one(
+            request, "stream", degrade_level, tenant, context=ActivationContext()
         )
         return [future], lambda: self._build_stream(request, self._resolve(future))
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.api.client import NormClient
 from repro.api.envelopes import ApiError, OverloadedError
-from repro.api.server import NormServer
+from repro.api import NormServer
 from repro.api.transport import SocketTransport
 from repro.chaos.gate import FaultGate
 from repro.chaos.plan import FaultPlan, canned_plan

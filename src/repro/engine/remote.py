@@ -3,7 +3,7 @@
 The ROADMAP's ``remote`` backend: instead of running the kernel locally,
 ``run`` ships the plan's serialized :class:`~repro.engine.spec.EngineSpec`
 plus the affine parameters and the stacked rows to a live
-:class:`~repro.api.server.NormServer` (the ``execute`` op of the wire
+:class:`~repro.api.aserver.NormServer` (the ``execute`` op of the wire
 protocol) and decodes ``(output, mean, isd)`` from the response.  Because
 the server rebuilds the engine from the shipped spec, the remote host needs
 no model or calibration state -- the spec *is* the execution contract --
@@ -59,7 +59,7 @@ class RemoteBackend(NormBackend):
     ):
         if client is None:
             if address is not None:
-                from repro.api.server import parse_address
+                from repro.api import parse_address
 
                 host, port = parse_address(address)
             if host is None or port is None:

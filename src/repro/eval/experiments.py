@@ -682,7 +682,7 @@ def run_api_roundtrip(
     * the service directly (the golden path),
     * ``NormClient`` over :class:`InProcessTransport`,
     * ``NormClient`` over :class:`SocketTransport` against a live
-      :class:`~repro.api.server.NormServer` -- lock-step with v3 binary
+      :class:`~repro.api.aserver.NormServer` -- lock-step with v3 binary
       frames (the default) and with legacy base64 JSON frames, pipelined
       (depth 8, many requests in flight on one connection), and bulk (all
       payloads in one ``normalize_bulk`` frame),
@@ -696,7 +696,7 @@ def run_api_roundtrip(
     import time as _time
 
     from repro.api.client import NormClient
-    from repro.api.server import NormServer
+    from repro.api import NormServer
     from repro.serving.registry import CalibrationRegistry
     from repro.serving.service import NormalizationService
 
@@ -848,7 +848,7 @@ def run_fleet_parity(
     import time as _time
 
     from repro.api.client import NormClient
-    from repro.api.server import NormServer
+    from repro.api import NormServer
     from repro.fleet.transport import FleetTransport
     from repro.serving.registry import CalibrationRegistry
     from repro.serving.service import NormalizationService

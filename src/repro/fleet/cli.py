@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.api.client import NormClient
 from repro.api.envelopes import ApiError
-from repro.api.server import parse_address
+from repro.api import parse_address
 from repro.fleet.supervisor import FleetSupervisor
 from repro.fleet.transport import FleetTransport
 

@@ -79,7 +79,7 @@ def _default_factory(
     retry_policy: Optional[RetryPolicy] = None,
     token: Optional[str] = None,
 ) -> SocketTransport:
-    from repro.api.server import parse_address
+    from repro.api import parse_address
 
     host, port = parse_address(address)
     return SocketTransport(

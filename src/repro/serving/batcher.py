@@ -100,9 +100,10 @@ class ResponseFuture:
 
         Callbacks registered before resolution run on the resolving thread
         (the batch executor); ones registered after run on the registering
-        thread.  The asyncio server core bridges these futures onto its
-        event loop through this hook (``loop.call_soon_threadsafe`` inside
-        the callback), so callbacks must never block.
+        thread.  The server awaits serving ops on its event loop through
+        this hook (``loop.call_soon_threadsafe`` inside the callback), so
+        callbacks run inside the scheduler's engine tick and must never
+        block.
         """
         with ResponseFuture._EVENT_LOCK:
             if self._callbacks is not _CALLBACKS_FIRED:
@@ -118,8 +119,8 @@ class ResponseFuture:
                     return
         callback(self)
 
-    def result(self, timeout: Optional[float] = None):
-        """Block until resolved; raises the stored exception if any."""
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        """Block until resolved, without raising; False on timeout."""
         if not self._done:
             if self._event is None:
                 with ResponseFuture._EVENT_LOCK:
@@ -130,11 +131,16 @@ class ResponseFuture:
             if not self._done and not self._event.wait(timeout):
                 # A timed-out wait is not proof of an unresolved future:
                 # the setter may have flipped _done between wait() giving
-                # up and this raise (it sets _done before set()), so
-                # re-check once more -- raising here would be a *spurious*
-                # timeout on a request that actually completed in time.
-                if not self._done:
-                    raise TimeoutError("normalization request timed out")
+                # up and this return (it sets _done before set()), so
+                # re-check once more -- reporting a timeout here would be
+                # *spurious* on a request that actually completed in time.
+                return self._done
+        return True
+
+    def result(self, timeout: Optional[float] = None):
+        """Block until resolved; raises the stored exception if any."""
+        if not self.wait(timeout):
+            raise TimeoutError("normalization request timed out")
         if self._error is not None:
             raise self._error
         return self._value

@@ -76,28 +76,20 @@ def build_parser() -> argparse.ArgumentParser:
         "synthetic traffic (stop with SIGINT/SIGTERM)",
     )
     parser.add_argument(
-        "--core",
-        choices=("async", "threads"),
-        default="async",
-        help="server core in --listen mode: 'async' (default; asyncio event "
-        "loop, continuous cross-connection batching, cheap idle "
-        "connections) or 'threads' (the previous thread-per-connection "
-        "core with the fixed-trigger micro-batcher, kept for one release)",
-    )
-    parser.add_argument(
         "--aging-window-ms",
         type=float,
         default=20.0,
         help="continuous scheduler's starvation bound (ms): a queued "
         "request is released at most this long after older traffic, "
-        "however hot the competing buckets (async core only)",
+        "however hot the competing buckets (--listen mode)",
     )
     parser.add_argument(
         "--workers",
         type=int,
         default=8,
-        help="request-handling worker threads in --listen mode (the "
-        "server-side pipelining depth across all connections)",
+        help="request-handling worker threads in --listen mode (they "
+        "validate, submit and build responses; frames awaiting their "
+        "batch hold none)",
     )
     parser.add_argument(
         "--max-inflight",
@@ -334,7 +326,7 @@ def _serve_forever(
     closed, queued requests flushed, telemetry printed -- and exit code 0,
     which the CI smoke job asserts.
     """
-    from repro.api.server import NormServer, parse_address
+    from repro.api import NormServer, parse_address
 
     try:
         host, port = parse_address(args.listen)
@@ -351,13 +343,13 @@ def _serve_forever(
         signum: signal.signal(signum, _signal_handler)
         for signum in (signal.SIGINT, signal.SIGTERM)
     }
-    # The async core pairs with the continuous scheduler (engine-tick
-    # draining across all connections); the threaded core keeps the PR-1
-    # fixed-trigger micro-batcher, preserving last release's behavior.
+    # The continuous scheduler drains pending work from every connection
+    # each engine tick (deadline-aware, starvation-bounded by the aging
+    # window).
     service = NormalizationService(
         registry=registry,
         config=config,
-        scheduler="continuous" if args.core == "async" else "micro",
+        scheduler="continuous",
         aging_window=args.aging_window_ms / 1000.0,
     )
     ladder = None
@@ -377,13 +369,9 @@ def _serve_forever(
             print(f"haan-serve: bad tenant file {args.tenants}: {error}", file=sys.stderr)
             return 2
     metrics = None
-    if args.core == "async":
-        from repro.api.aserver import AsyncNormServer as server_cls
-    else:
-        server_cls = NormServer
     try:
         try:
-            server = server_cls(
+            server = NormServer(
                 service,
                 host=host,
                 port=port,
@@ -420,7 +408,6 @@ def _serve_forever(
             print(
                 f"haan-serve: listening on {server.host}:{server.port} "
                 f"(model {args.model!r}, dataset {args.dataset!r}; "
-                f"{args.core} core, "
                 f"{args.workers} workers, {args.max_inflight} in-flight "
                 f"per connection, queue bound {args.max_queue_depth}"
                 f"{', degradation ladder on' if ladder is not None else ''}"

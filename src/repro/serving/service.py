@@ -237,11 +237,26 @@ class NormalizationService:
 
             resolve_accelerator_config(key.accelerator)
 
+    def run_queued(self) -> None:
+        """Execute queued work on the calling thread if nothing else will.
+
+        The one place the two execution modes differ for callers: an
+        inline service drains its queues here (nothing else would); for a
+        threaded one this is a no-op -- its worker drains them.
+        """
+        if not self._threaded:
+            self.batcher.drain_all()
+
+    def wait(self, futures: Iterable[ResponseFuture]) -> None:
+        """Block until every future is resolved, without raising."""
+        self.run_queued()
+        for future in futures:
+            future.wait()
+
     def normalize(self, payload: np.ndarray, model: str, **kwargs) -> NormResponse:
         """Normalize one tensor synchronously."""
         future = self.submit(payload, model, **kwargs)
-        if not self._threaded:
-            self.batcher.drain_all()
+        self.wait([future])
         return future.result()
 
     def normalize_many(
@@ -249,8 +264,7 @@ class NormalizationService:
     ) -> List[NormResponse]:
         """Normalize a bulk of independent tensors, coalesced into batches."""
         futures = self.submit_many(payloads, model, **kwargs)
-        if not self._threaded:
-            self.batcher.drain_all()
+        self.wait(futures)
         return [future.result() for future in futures]
 
     def stream(
@@ -294,8 +308,7 @@ class NormalizationService:
             )
             for chunk in chunks
         ]
-        if not self._threaded:
-            self.batcher.drain_all()
+        self.wait(futures)
         for future in futures:
             yield future.result()
 

@@ -257,7 +257,7 @@ class ServingTelemetry:
     ) -> None:
         """Merge ``provider()`` into every snapshot under key ``name``.
 
-        Lets the transport layer (e.g. :class:`~repro.api.server.NormServer`)
+        Lets the transport layer (e.g. :class:`~repro.api.aserver.NormServer`)
         surface its pipelining/pool gauges next to the serving metrics
         without the telemetry module knowing about sockets.  Re-attaching a
         name replaces the provider (a restarted server re-registers).

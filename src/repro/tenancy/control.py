@@ -35,7 +35,7 @@ __all__ = ["TenancyController"]
 
 
 class TenancyController:
-    """Auth, quotas and metering for one :class:`~repro.api.server.NormServer`."""
+    """Auth, quotas and metering for one :class:`~repro.api.aserver.NormServer`."""
 
     def __init__(
         self,
@@ -124,7 +124,7 @@ class TenancyController:
         nbytes: int = 0,
         wall_seconds: float = 0.0,
     ) -> None:
-        """Meter one completed request (reader/worker side)."""
+        """Meter one handled request (the server calls it before replying)."""
         context = tenant if tenant is not None else ANONYMOUS_CONTEXT
         self.ledger.charge_request(
             context.name, rows=rows, nbytes=nbytes, wall_seconds=wall_seconds

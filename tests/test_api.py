@@ -27,6 +27,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.api import NormServer, parse_address
 from repro.api.client import NormClient
 from repro.api.envelopes import (
     SCHEMA_VERSION,
@@ -34,11 +35,16 @@ from repro.api.envelopes import (
     BadSchemaError,
     ErrorResponse,
     ExecuteSpecRequest,
+    HelloRequest,
+    NormalizeBulkRequest,
     NormalizeRequest,
     NormalizeResponse,
     PayloadTooLargeError,
+    PingRequest,
     SchemaVersionError,
     SpecRequest,
+    StreamChunkRequest,
+    TelemetryRequest,
     TensorPayload,
     TransportError,
     UnknownBackendError,
@@ -48,7 +54,6 @@ from repro.api.envelopes import (
 )
 from repro.api.framing import FRAME_HEADER, encode_frame
 from repro.api.handler import ApiHandler
-from repro.api.server import NormServer, parse_address
 from repro.api.transport import InProcessTransport
 from repro.core.config import HaanConfig
 from repro.core.haan_norm import HaanNormalization
@@ -60,6 +65,7 @@ from repro.llm.normalization import LayerNorm
 from repro.numerics.quantization import DataFormat
 from repro.serving.registry import CalibrationArtifact, CalibrationRegistry
 from repro.serving.service import NormalizationService
+from repro.serving.telemetry import ServingTelemetry
 
 HIDDEN = 48
 
@@ -622,6 +628,100 @@ class TestRemoteBackend:
                 client.execute_spec(spec, rng.normal(size=(2, HIDDEN)))
         assert len(handler._engine_cache) == 1
         svc.close()
+
+
+#: One request per op family, plus envelopes each failing into a different
+#: taxonomy member.  Serving ops enqueue pendings; every other op (and every
+#: rejected request) answers from ``finish`` alone.
+_ENTRY_POINT_CASES = {
+    "normalize": (True, None),
+    "normalize_bulk": (True, None),
+    "stream": (True, None),
+    "execute": (False, None),
+    "spec": (False, None),
+    "hello": (False, None),
+    "ping": (False, None),
+    "telemetry": (False, None),
+    "bad_schema": (False, "bad_schema"),
+    "unknown_model": (False, "unknown_model"),
+    "payload_too_large": (False, "payload_too_large"),
+}
+
+
+def _entry_point_payload(case, rng):
+    rows = TensorPayload.from_array(_rows(rng))
+    if case == "normalize":
+        return NormalizeRequest(model="tiny", tensor=rows).to_wire()
+    if case == "normalize_bulk":
+        tensors = (rows, TensorPayload.from_array(_rows(rng, 2)))
+        return NormalizeBulkRequest(model="tiny", tensors=tensors, layer_index=1).to_wire()
+    if case == "stream":
+        return StreamChunkRequest(model="tiny", tensor=rows, stream_id=3, seq=0).to_wire()
+    if case == "execute":
+        spec = EngineSpec(kind="rmsnorm", hidden_size=HIDDEN).to_dict()
+        return ExecuteSpecRequest(spec=spec, rows=rows).to_wire()
+    if case == "spec":
+        return SpecRequest(model="tiny", layer_index=1).to_wire()
+    if case == "hello":
+        return HelloRequest().to_wire()
+    if case == "ping":
+        return PingRequest().to_wire()
+    if case == "telemetry":
+        return TelemetryRequest().to_wire()
+    if case == "bad_schema":
+        cube = TensorPayload.from_array(rng.normal(size=(2, 2, HIDDEN)))
+        return NormalizeRequest(model="tiny", tensor=cube).to_wire()
+    if case == "unknown_model":
+        return NormalizeRequest(model="gpt5", tensor=rows).to_wire()
+    assert case == "payload_too_large"
+    big = TensorPayload.from_array(_rows(rng, 64))
+    return NormalizeRequest(model="tiny", tensor=big).to_wire()
+
+
+def _without_timings(value):
+    """The envelope with its wall-clock measurements zeroed."""
+    if isinstance(value, dict):
+        return {
+            key: 0.0 if key in ("queue_wait", "batch_latency") else _without_timings(item)
+            for key, item in value.items()
+        }
+    if isinstance(value, list):
+        return [_without_timings(item) for item in value]
+    return value
+
+
+class TestHandlerEntryPoint:
+    """``handle`` is exactly ``begin`` -> wait on the pendings -> ``finish``."""
+
+    @pytest.mark.parametrize("threaded", [True, False], ids=["threaded", "inline"])
+    @pytest.mark.parametrize("case", sorted(_ENTRY_POINT_CASES))
+    def test_handle_matches_begin_then_finish(self, case, threaded):
+        serving, error_code = _ENTRY_POINT_CASES[case]
+        payload = _entry_point_payload(case, np.random.default_rng(5))
+        frames = []
+        for use_begin in (False, True):
+            # A fresh service per path: both see identical state, so even
+            # the telemetry snapshot must come out byte-for-byte the same.
+            registry = CalibrationRegistry(loader=_instant_loader, known_models=["tiny"])
+            telemetry = ServingTelemetry(clock=lambda: 0.0)
+            with NormalizationService(
+                registry=registry, telemetry=telemetry, threaded=threaded
+            ) as svc:
+                handler = ApiHandler(svc, max_payload_elements=1024)
+                if use_begin:
+                    pendings, finish = handler.begin(payload)
+                    assert bool(pendings) == serving
+                    svc.wait(pendings)
+                    assert all(pending.done() for pending in pendings)
+                    response = finish()
+                else:
+                    response = handler.handle(payload)
+            if error_code is None:
+                assert response["ok"] is True, response
+            else:
+                assert response["error"]["code"] == error_code
+            frames.append(encode_frame(_without_timings(response)))
+        assert frames[0] == frames[1]
 
 
 class InProcessTransportWithHandler:

@@ -35,7 +35,7 @@ from repro.api.envelopes import (
     TransportError,
 )
 from repro.api.framing import FrameDecoder, recv_frame, send_frame
-from repro.api.server import NormServer
+from repro.api import NormServer
 from repro.api.transport import SocketTransport
 from repro.core.config import HaanConfig
 from repro.core.haan_norm import HaanNormalization

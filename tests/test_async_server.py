@@ -1,42 +1,49 @@
-"""Tests of the asyncio server core (``AsyncNormServer``).
+"""Tests of the server core (``NormServer`` on its asyncio event loop).
 
-The core contract: the async core is a *drop-in* for the threaded
-``NormServer`` -- every response bit-identical, every error the same
-typed member of the taxonomy, the same wire-snapshot keys -- while the
-event loop holds hundreds of idle connections without a thread each.
+The core contract: every response bit-identical to the service called
+directly, every error the same typed member of the taxonomy, a stable
+wire-snapshot key set -- while the event loop holds hundreds of idle
+connections without a thread each.
 
 Covered here:
 
-* bit-parity of single / bulk / stream / pipelined traffic across the
-  async core, the threaded core, and the service called directly;
-* error-taxonomy parity (unknown model, payload-shape rejection) and
+* bit-parity of single / bulk / stream / pipelined traffic against a
+  local inline service and the reference engine, behind threaded
+  (continuous and micro scheduler) and inline services alike;
+* the pinned ``wire_snapshot`` key set, per-connection rows included;
+* error-taxonomy mapping (unknown model, payload-shape rejection) and
   typed ``DeadlineExceededError`` for budget-expired requests;
 * hundreds of idle connections held open while golden-checked traffic
   flows on another connection;
 * graceful drain: in-flight work answered, post-drain work refused;
+* a corrupt binary body: one typed error, then the link drops before any
+  frame pipelined behind it runs or is charged;
 * the tenancy handshake (token auth, typed rejection) and the chaos
-  ``FaultGate`` contract, both unchanged on the async core.
+  ``FaultGate`` contract.
 """
 
 from __future__ import annotations
 
 import socket
+import struct
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.api.aserver import AsyncNormServer
+from repro.api import NormServer
 from repro.api.client import NormClient
 from repro.api.envelopes import (
     ApiError,
     AuthenticationError,
     BadSchemaError,
     DeadlineExceededError,
+    NormalizeRequest,
+    TensorPayload,
     UnknownModelError,
 )
-from repro.api.server import NormServer
+from repro.api.framing import encode_frame, recv_frame
 from repro.chaos.gate import FaultGate
 from repro.chaos.plan import FaultPlan, FaultRule
 from repro.serving.registry import CalibrationRegistry
@@ -46,6 +53,15 @@ from repro.tenancy import QuotaPolicy, TenancyController, TenantDirectory, Tenan
 from test_api import _instant_loader
 
 HIDDEN = 48
+
+#: Served service flavours: the threaded continuous scheduler haan-serve
+#: runs, the threaded size+wait micro-batcher, and an inline service that
+#: the handler drains itself.
+SERVICE_KINDS = {
+    "continuous": {"scheduler": "continuous"},
+    "micro": {"scheduler": "micro"},
+    "inline": {"threaded": False},
+}
 
 
 @pytest.fixture()
@@ -76,112 +92,130 @@ def _controller(require_auth=False):
 
 
 # ---------------------------------------------------------------------------
-# bit parity with the threaded core
+# bit parity with the service called directly
 # ---------------------------------------------------------------------------
 
 
 class TestBitParity:
-    def test_single_bulk_and_stream_bit_identical_across_cores(self, registry, rng):
+    @pytest.mark.parametrize("kind", sorted(SERVICE_KINDS))
+    def test_single_bulk_and_stream_bit_identical_to_inline_service(
+        self, registry, rng, kind
+    ):
         payload = _rows(rng)
         bulk = [_rows(rng, 3), _rows(rng, 2)]
         chunks = [_rows(rng, 2), _rows(rng, 4)]
 
-        outputs = {}
-        for label, server_cls, scheduler in (
-            ("async", AsyncNormServer, "continuous"),
-            ("threads", NormServer, "micro"),
-        ):
-            service = _service(registry, scheduler=scheduler)
-            with server_cls(service) as server:
-                with NormClient.connect(server.host, server.port) as client:
-                    outputs[label] = {
-                        "single": client.normalize(payload, "tiny").output,
-                        "bulk": [
-                            r.output for r in client.normalize_bulk(bulk, "tiny")
-                        ],
-                        "stream": [
-                            r.output for r in client.stream(iter(chunks), "tiny")
-                        ],
-                    }
-            service.close()
+        with NormalizationService(registry=registry, threaded=False) as local:
+            want_single = local.normalize(payload, "tiny").output
+            want_bulk = [r.output for r in local.normalize_many(bulk, "tiny")]
+            want_stream = [r.output for r in local.stream(iter(chunks), "tiny")]
 
-        np.testing.assert_array_equal(
-            outputs["async"]["single"], outputs["threads"]["single"]
-        )
-        np.testing.assert_array_equal(outputs["async"]["single"], _golden(registry, payload))
-        for got_async, got_threads, sent in zip(
-            outputs["async"]["bulk"], outputs["threads"]["bulk"], bulk
-        ):
-            np.testing.assert_array_equal(got_async, got_threads)
-            np.testing.assert_array_equal(got_async, _golden(registry, sent))
-        for got_async, got_threads, sent in zip(
-            outputs["async"]["stream"], outputs["threads"]["stream"], chunks
-        ):
-            np.testing.assert_array_equal(got_async, got_threads)
-            np.testing.assert_array_equal(got_async, _golden(registry, sent))
+        service = NormalizationService(registry=registry, **SERVICE_KINDS[kind])
+        with NormServer(service) as server:
+            with NormClient.connect(server.host, server.port) as client:
+                got_single = client.normalize(payload, "tiny").output
+                got_bulk = [r.output for r in client.normalize_bulk(bulk, "tiny")]
+                got_stream = [r.output for r in client.stream(iter(chunks), "tiny")]
+        service.close()
 
-    def test_pipelined_submissions_bit_identical(self, registry, rng):
+        np.testing.assert_array_equal(got_single, want_single)
+        np.testing.assert_array_equal(got_single, _golden(registry, payload))
+        assert len(got_bulk) == len(want_bulk) == len(bulk)
+        for got, want, sent in zip(got_bulk, want_bulk, bulk):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got, _golden(registry, sent))
+        assert len(got_stream) == len(want_stream) == len(chunks)
+        for got, want, sent in zip(got_stream, want_stream, chunks):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got, _golden(registry, sent))
+
+    @pytest.mark.parametrize("kind", sorted(SERVICE_KINDS))
+    def test_pipelined_submissions_bit_identical(self, registry, rng, kind):
         payloads = [_rows(rng, i + 1) for i in range(8)]
-        service = _service(registry)
-        with AsyncNormServer(service) as server:
+        with NormalizationService(registry=registry, threaded=False) as local:
+            wants = [local.normalize(payload, "tiny").output for payload in payloads]
+        service = NormalizationService(registry=registry, **SERVICE_KINDS[kind])
+        with NormServer(service) as server:
             with NormClient.connect(server.host, server.port) as client:
                 handles = [
                     client.submit_normalize(payload, "tiny") for payload in payloads
                 ]
-                for handle, payload in zip(handles, payloads):
+                for handle, want, payload in zip(handles, wants, payloads):
                     result = handle.result(timeout=10.0)
+                    np.testing.assert_array_equal(result.output, want)
                     np.testing.assert_array_equal(
                         result.output, _golden(registry, payload)
                     )
         service.close()
 
-    def test_wire_snapshot_keys_match_threaded_core(self, registry, rng):
-        snapshots = {}
-        for label, server_cls in (("async", AsyncNormServer), ("threads", NormServer)):
-            service = _service(registry, scheduler="micro")
-            with server_cls(service) as server:
-                with NormClient.connect(server.host, server.port) as client:
-                    client.normalize(_rows(rng), "tiny")
-                    # Snapshot while the connection is live so the
-                    # per-connection gauge rows exist on both cores.
-                    snapshots[label] = server.wire_snapshot()
-            service.close()
-        assert set(snapshots["async"]) == set(snapshots["threads"])
-        row_async = snapshots["async"]["per_connection"][0]
-        row_threads = snapshots["threads"]["per_connection"][0]
-        assert set(row_async) == set(row_threads)
+    def test_wire_snapshot_keys_are_pinned(self, registry, rng):
+        """The fleet table and /metrics read these keys by name."""
+        service = _service(registry)
+        with NormServer(service) as server:
+            with NormClient.connect(server.host, server.port) as client:
+                client.normalize(_rows(rng), "tiny")
+                # Snapshot while the connection is live so its
+                # per-connection gauge row exists.
+                snapshot = server.wire_snapshot()
+        service.close()
+        assert set(snapshot) == {
+            "connections_total",
+            "connections_active",
+            "frames_received",
+            "requests_served",
+            "peak_inflight",
+            "inflight_current",
+            "backpressure_waits",
+            "workers",
+            "max_inflight",
+            "bytes_received",
+            "bytes_sent",
+            "frames_json",
+            "frames_binary",
+            "per_connection",
+        }
+        (row,) = snapshot["per_connection"]
+        assert set(row) == {
+            "id",
+            "inflight",
+            "peak_inflight",
+            "frames",
+            "backpressure_waits",
+            "bytes_in",
+            "bytes_out",
+            "encoding",
+        }
 
 
 class TestErrorParity:
-    def test_unknown_model_typed_on_both_cores(self, rng):
+    @pytest.mark.parametrize("scheduler", ["continuous", "micro"])
+    def test_unknown_model_typed(self, rng, scheduler):
         def _refusing_loader(model_name, dataset):
             raise KeyError(f"unknown model {model_name!r}")
 
-        payload = _rows(rng)
-        for server_cls in (AsyncNormServer, NormServer):
-            service = NormalizationService(
-                registry=CalibrationRegistry(loader=_refusing_loader)
-            )
-            with server_cls(service) as server:
-                with NormClient.connect(server.host, server.port) as client:
-                    with pytest.raises(UnknownModelError):
-                        client.normalize(payload, "nope")
-            service.close()
+        service = NormalizationService(
+            registry=CalibrationRegistry(loader=_refusing_loader), scheduler=scheduler
+        )
+        with NormServer(service) as server:
+            with NormClient.connect(server.host, server.port) as client:
+                with pytest.raises(UnknownModelError):
+                    client.normalize(_rows(rng), "nope")
+        service.close()
 
-    def test_bad_width_typed_on_both_cores(self, registry):
-        for server_cls in (AsyncNormServer, NormServer):
-            service = _service(registry, scheduler="micro")
-            with server_cls(service) as server:
-                with NormClient.connect(server.host, server.port) as client:
-                    with pytest.raises(BadSchemaError, match="width"):
-                        client.normalize(np.ones((2, 8)), "tiny")
-            service.close()
+    @pytest.mark.parametrize("scheduler", ["continuous", "micro"])
+    def test_bad_width_typed(self, registry, scheduler):
+        service = _service(registry, scheduler=scheduler)
+        with NormServer(service) as server:
+            with NormClient.connect(server.host, server.port) as client:
+                with pytest.raises(BadSchemaError, match="width"):
+                    client.normalize(np.ones((2, 8)), "tiny")
+        service.close()
 
     def test_infeasible_deadline_shed_typed_at_the_gate(self, registry, rng):
         """The pre-decode admission gate sheds a deadline below its
         service-time estimate before any tensor decode, with retry_after."""
         service = _service(registry, scheduler="continuous")
-        with AsyncNormServer(service) as server:
+        with NormServer(service) as server:
             from repro.api.envelopes import OverloadedError
             from repro.api.retry import RetryPolicy
 
@@ -201,7 +235,7 @@ class TestErrorParity:
 
         service = _service(registry, scheduler="continuous")
         admission = AdmissionController(initial_service_time=1e-9, ema_alpha=1e-6)
-        with AsyncNormServer(service, admission=admission) as server:
+        with NormServer(service, admission=admission) as server:
             with NormClient.connect(server.host, server.port) as client:
                 with pytest.raises(DeadlineExceededError):
                     client.normalize(_rows(rng), "tiny", deadline_ms=0.0005)
@@ -221,7 +255,7 @@ class TestConnectionScale:
     def test_hundreds_of_idle_connections_while_traffic_flows(self, registry, rng):
         idle_target = 200
         service = _service(registry)
-        server = AsyncNormServer(service).start()
+        server = NormServer(service).start()
         idle = []
         try:
             for _ in range(idle_target):
@@ -249,7 +283,7 @@ class TestConnectionScale:
 
     def test_drain_answers_inflight_then_refuses_new_connections(self, registry, rng):
         service = _service(registry)
-        server = AsyncNormServer(service).start()
+        server = NormServer(service).start()
         payload = _rows(rng)
         try:
             with NormClient.connect(server.host, server.port) as client:
@@ -266,7 +300,7 @@ class TestConnectionScale:
         """Requests racing close(drain) either complete bit-identically or
         fail typed/with a transport error -- never hang, never corrupt."""
         service = _service(registry)
-        server = AsyncNormServer(service).start()
+        server = NormServer(service).start()
         payloads = [_rows(rng) for _ in range(16)]
         outcomes = []
 
@@ -297,7 +331,7 @@ class TestConnectionScale:
 
     def test_close_is_idempotent_and_snapshot_survives(self, registry, rng):
         service = _service(registry)
-        server = AsyncNormServer(service).start()
+        server = NormServer(service).start()
         with NormClient.connect(server.host, server.port) as client:
             client.normalize(_rows(rng), "tiny")
         server.close(drain_timeout=1.0)
@@ -309,14 +343,63 @@ class TestConnectionScale:
 
 
 # ---------------------------------------------------------------------------
-# tenancy + chaos ride unchanged on the async core
+# a malformed binary body
+# ---------------------------------------------------------------------------
+
+
+class TestMalformedBinaryBody:
+    def test_corrupt_buffer_table_drops_link_before_later_frames(self, registry, rng):
+        # A corrupt buffer table followed by a valid frame, in one write:
+        # one typed error, a dropped link, and the valid frame is neither
+        # executed nor charged.
+        def frame(request_id):
+            return bytearray(
+                encode_frame(
+                    NormalizeRequest(
+                        model="tiny",
+                        tensor=TensorPayload.from_array(_rows(rng), "binary"),
+                        request_id=request_id,
+                    ).to_wire()
+                )
+            )
+
+        bad = frame(1)
+        # frame header (4) + magic (4) + u32 preamble length + preamble +
+        # u32 buffer count, then the first (offset, length) table entry.
+        (preamble_len,) = struct.unpack_from(">I", bad, 8)
+        struct.pack_into(">Q", bad, 12 + preamble_len + 4, len(bad))
+        controller = _controller()
+        service = _service(registry)
+        with NormServer(service, tenancy=controller) as server:
+            with socket.create_connection((server.host, server.port)) as sock:
+                sock.settimeout(10.0)
+                sock.sendall(bytes(bad) + bytes(frame(2)))
+                reply = recv_frame(sock)
+                assert reply["ok"] is False
+                assert reply["error"]["code"] == "transport"
+                assert sock.recv(1) == b""  # dropped, nothing else sent
+            assert service.telemetry.snapshot()["requests_total"] == 0
+            assert controller.snapshot()["ledger"] == {}
+            admission = server.admission.snapshot()
+            assert admission["inflight"] == 0
+            assert admission["admitted"] == 1
+            # The same valid frame on a fresh link is executed and charged.
+            with NormClient.connect(server.host, server.port) as client:
+                client.normalize(_rows(rng), "tiny")
+            assert service.telemetry.snapshot()["requests_total"] == 1
+            assert controller.snapshot()["ledger"]["anonymous"]["requests"] == 1
+        service.close()
+
+
+# ---------------------------------------------------------------------------
+# tenancy + chaos on the server core
 # ---------------------------------------------------------------------------
 
 
 class TestAsyncTenancy:
     def test_require_auth_rejects_tokenless_work_typed(self, registry, rng):
         service = _service(registry)
-        with AsyncNormServer(service, tenancy=_controller(require_auth=True)) as server:
+        with NormServer(service, tenancy=_controller(require_auth=True)) as server:
             with NormClient.connect(server.host, server.port) as client:
                 with pytest.raises(AuthenticationError):
                     client.normalize(_rows(rng), "tiny")
@@ -324,7 +407,7 @@ class TestAsyncTenancy:
 
     def test_bad_token_fails_the_handshake_typed(self, registry, rng):
         service = _service(registry)
-        with AsyncNormServer(service, tenancy=_controller()) as server:
+        with NormServer(service, tenancy=_controller()) as server:
             with pytest.raises(AuthenticationError):
                 with NormClient.connect(
                     server.host, server.port, token="tok-wrong"
@@ -335,7 +418,7 @@ class TestAsyncTenancy:
     def test_authenticated_traffic_bit_identical_and_metered(self, registry, rng):
         controller = _controller(require_auth=True)
         service = _service(registry)
-        with AsyncNormServer(service, tenancy=controller) as server:
+        with NormServer(service, tenancy=controller) as server:
             with NormClient.connect(
                 server.host, server.port, token="tok-acme"
             ) as client:
@@ -358,7 +441,7 @@ class TestAsyncChaos:
         )
         gate = FaultGate(plan)
         service = _service(registry)
-        server = AsyncNormServer(service, fault_gate=gate).start()
+        server = NormServer(service, fault_gate=gate).start()
         try:
             with NormClient.connect(server.host, server.port, timeout=1.0) as client:
                 typed = 0

@@ -30,7 +30,7 @@ from repro.api.envelopes import (
 from repro.api.envelopes import TensorPayload
 from repro.api.framing import FrameDecoder, send_frame
 from repro.api.retry import AMBIGUOUS, CLEAN, OVERLOADED, RetryPolicy
-from repro.api.server import NormServer
+from repro.api import NormServer
 from repro.api.transport import InProcessTransport, SocketTransport
 from repro.chaos.gate import FaultGate
 from repro.chaos.plan import (

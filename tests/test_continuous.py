@@ -6,8 +6,7 @@ Covered contracts, all on deterministic injectable clocks:
   the timed-out ``Event.wait`` and the raise must not surface a spurious
   ``TimeoutError`` (the request *did* complete in time);
 * ``add_done_callback`` fires exactly once, before or after resolution,
-  on success and on failure -- the hook the asyncio server core bridges
-  scheduler futures through;
+  on success and on failure;
 * :class:`ContinuousBatcher`: engine-tick release (no ``max_wait`` stall),
   earliest-deadline-first bucket selection, aging-bound starvation
   freedom under a sustained hot-bucket flood, and deadline-expired
@@ -15,7 +14,7 @@ Covered contracts, all on deterministic injectable clocks:
 * the eval CLI measures experiment duration on the monotonic
   ``perf_counter``, immune to wall-clock (NTP/DST) steps;
 * drained server shutdown joins every thread it started (no leaked
-  accept-loop / worker / metrics threads).
+  event-loop / worker / metrics threads).
 """
 
 from __future__ import annotations
@@ -106,6 +105,13 @@ class TestResponseFuture:
         future = ResponseFuture()
         with pytest.raises(TimeoutError):
             future.result(timeout=0.005)
+
+    def test_wait_reports_resolution_without_raising(self):
+        future = ResponseFuture()
+        assert future.wait(timeout=0.005) is False
+        future.set_exception(ValueError("failed batch"))
+        assert future.wait(timeout=0.005) is True
+        assert future.wait() is True
 
     def test_callback_registered_before_resolution_fires_once(self):
         future = ResponseFuture()
@@ -478,26 +484,8 @@ def _assert_no_new_haan_threads(before, timeout=5.0):
 
 
 class TestNoLeakedThreads:
-    def test_threaded_server_drained_close_joins_everything(self):
-        from repro.api.client import NormClient
-        from repro.api.server import NormServer
-        from repro.serving.registry import CalibrationRegistry
-        from repro.serving.service import NormalizationService
-
-        from test_api import _instant_loader
-
-        before = _live_haan_threads()
-        registry = CalibrationRegistry(loader=_instant_loader)
-        service = NormalizationService(registry=registry)
-        server = NormServer(service).start()
-        with NormClient.connect(server.host, server.port) as client:
-            client.normalize(np.ones((2, 48)), "tiny")
-        server.close(drain_timeout=2.0)
-        service.close()
-        _assert_no_new_haan_threads(before)
-
-    def test_async_server_drained_close_joins_everything(self):
-        from repro.api.aserver import AsyncNormServer
+    def test_server_drained_close_joins_everything(self):
+        from repro.api import NormServer
         from repro.api.client import NormClient
         from repro.serving.registry import CalibrationRegistry
         from repro.serving.service import NormalizationService
@@ -507,7 +495,7 @@ class TestNoLeakedThreads:
         before = _live_haan_threads()
         registry = CalibrationRegistry(loader=_instant_loader)
         service = NormalizationService(registry=registry, scheduler="continuous")
-        server = AsyncNormServer(service).start()
+        server = NormServer(service).start()
         with NormClient.connect(server.host, server.port) as client:
             client.normalize(np.ones((2, 48)), "tiny")
         server.close(drain_timeout=2.0)

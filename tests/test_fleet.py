@@ -33,7 +33,7 @@ import pytest
 
 from repro.api.client import NormClient
 from repro.api.envelopes import NoHealthyReplicaError, TransportError, error_for_code
-from repro.api.server import NormServer
+from repro.api import NormServer
 from repro.api.transport import (
     SocketTransport,
     available_transports,

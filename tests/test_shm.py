@@ -23,7 +23,7 @@ import pytest
 
 from repro.api.client import NormClient
 from repro.api.envelopes import BadSchemaError
-from repro.api.server import NormServer
+from repro.api import NormServer
 from repro.api.shm import (
     SLAB_ALIGNMENT,
     ServerShmSession,

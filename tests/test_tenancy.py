@@ -47,7 +47,7 @@ from repro.api.envelopes import (
     error_for_code,
 )
 from repro.api.retry import RetryPolicy
-from repro.api.server import NormServer
+from repro.api import NormServer
 from repro.api.transport import _overload_error
 from repro.core.config import HaanConfig
 from repro.core.haan_norm import HaanNormalization
@@ -668,6 +668,22 @@ class TestMetrics:
         )
         count = next(s for s in samples if s.startswith("haan_queue_wait_seconds_count"))
         assert inf.rsplit(" ", 1)[1] == count.rsplit(" ", 1)[1]
+
+    def test_tenant_count_is_current_after_every_response(self, registry):
+        """The server meters a request before sending its response, so a
+        scrape made right after any answer already counts that request."""
+        with NormalizationService(registry=registry) as service:
+            with NormServer(service, tenancy=_controller()) as server:
+                with NormClient.connect(
+                    server.host, server.port, token="tok-acme"
+                ) as client:
+                    for answered in range(1, 201):
+                        client.normalize(np.ones((2, HIDDEN)), "tiny")
+                        samples = render_prometheus(
+                            service.telemetry.snapshot()
+                        ).splitlines()
+                        expected = f'haan_tenant_requests_total{{tenant="acme"}} {answered}'
+                        assert expected in samples, f"after response {answered}"
 
     def test_label_values_are_escaped(self):
         text = render_prometheus(

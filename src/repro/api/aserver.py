@@ -9,12 +9,13 @@ completion order**, not arrival order (clients demultiplex by
 
 Division of labor per frame:
 
-* **event loop** -- incremental framing (:class:`FrameDecoder`, so a burst
-  of pipelined frames costs one read), the pre-decode gate (tenant quota +
-  overload admission on the peeked JSON preamble, before any tensor bytes
-  are touched), the zero-copy binary body decode of admitted frames, shm
-  control ops, chaos gate, hello authentication, per-connection in-flight
-  accounting, response framing.
+* **event loop** -- incremental framing (received bytes go straight from
+  the connection's ``asyncio.Protocol`` into its :class:`FrameDecoder`,
+  and the read loop wakes once per whole frame), the pre-decode gate
+  (tenant quota + overload admission on the peeked JSON preamble, before
+  any tensor bytes are touched), the zero-copy binary body decode of
+  admitted frames, shm control ops, chaos gate, hello authentication,
+  per-connection in-flight accounting, response framing.
 * **bounded executor** -- :meth:`ApiHandler.begin` (validate, submit into
   the service's scheduler; ops that queue nothing run their whole dispatch
   here), then, for a serving op once its batch ran, its ``finish``
@@ -24,9 +25,9 @@ Division of labor per frame:
   Concurrent frames from **all connections** pool in its queues and drain
   together each engine tick; the loop awaits their futures.
 
-Per-connection in-flight is bounded (``max_inflight``): the reader stops
-reading once the bound is reached, which turns into TCP backpressure on the
-client instead of unbounded server-side buffering.
+Per-connection in-flight is bounded (``max_inflight``): the connection
+stops reading once the bound is reached, which turns into TCP backpressure
+on the client instead of unbounded server-side buffering.
 
 Shutdown is cooperative and clean: :meth:`close` (callable from any
 thread, e.g. a SIGTERM handler) stops the listener, optionally drains
@@ -39,12 +40,13 @@ joins every thread it started and leaves the wrapped service untouched
 from __future__ import annotations
 
 import asyncio
+import collections
 import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.api.admission import WORK_OPS, AdmissionController, PreDecodeGate
 from repro.api.envelopes import (
@@ -59,6 +61,7 @@ from repro.api.framing import (
     FrameDecoder,
     decode_payload,
     encode_frame,
+    frame_kind,
     peek_payload,
 )
 from repro.api.handler import ApiHandler
@@ -150,11 +153,22 @@ async def _resolved(loop: asyncio.AbstractEventLoop, pendings) -> None:
     await waiter
 
 
-class _Connection:
-    """Per-connection pipelining state: send lock + in-flight bound."""
+class _Connection(asyncio.Protocol):
+    """One accepted connection: its asyncio protocol plus pipelining state.
+
+    Received bytes go straight from :meth:`data_received` into the
+    connection's raw :class:`FrameDecoder` (no stream buffer in between),
+    and the read loop awaits whole frame bodies with :meth:`next_frame`, so
+    it wakes once per frame, not once per received chunk.  Bytes arriving
+    while the read loop is busy elsewhere -- waiting on the in-flight
+    bound, a send, a chaos delay -- pause reading until it asks for its
+    next frame: the kernel buffer fills and the client feels TCP
+    backpressure instead of the server buffering.  Nothing is allocated
+    per connection for receiving beyond the frame being decoded.
+    """
 
     __slots__ = (
-        "writer",
+        "transport",
         "conn_id",
         "send_lock",
         "inflight",
@@ -169,24 +183,28 @@ class _Connection:
         "shm",
         "tenant",
         "decoder",
+        "_server",
+        "_bodies",
+        "_waiter",
+        "_error",
+        "_eof",
+        "_reading_paused",
+        "_writing_paused",
+        "_drain_waiter",
+        "_lost",
     )
 
-    def __init__(
-        self,
-        writer: asyncio.StreamWriter,
-        max_inflight: int,
-        conn_id: int,
-        decoder: FrameDecoder,
-    ):
-        self.writer = writer
+    def __init__(self, server: "NormServer"):
+        self._server = server
+        self.transport: Optional[asyncio.Transport] = None
         #: Stable per-server ordinal (1-based connection counter), so the
         #: telemetry's per-connection rows stay identifiable across snapshots.
-        self.conn_id = conn_id
+        self.conn_id = 0
         self.send_lock = asyncio.Lock()
-        #: The reader coroutine awaits this once ``max_inflight`` requests
-        #: are being handled: reading pauses, the kernel buffer fills and
-        #: the client feels TCP backpressure.
-        self.inflight = asyncio.Semaphore(max_inflight)
+        #: The read loop awaits this once ``max_inflight`` requests are
+        #: being handled: reading pauses, the kernel buffer fills and the
+        #: client feels TCP backpressure.
+        self.inflight = asyncio.Semaphore(server.max_inflight)
         self.inflight_count = 0
         self.peak_inflight = 0
         self.frames = 0
@@ -209,7 +227,111 @@ class _Connection:
         #: handshake's bearer token (None until a hello arrives; anonymous
         #: connections stay None and are metered as "anonymous").
         self.tenant = None
-        self.decoder = decoder
+        # Raw framing: the decoder splits the byte stream into frame bodies
+        # but defers payload decoding, so the shedding gate can peek a
+        # binary frame's JSON preamble without materializing its tensors.
+        self.decoder = FrameDecoder(server.max_frame_bytes, raw=True)
+        #: Decoded frame bodies the read loop has not taken yet.
+        self._bodies: Deque[memoryview] = collections.deque()
+        #: Loop future the read loop awaits while ``_bodies`` is empty.
+        self._waiter: Optional[asyncio.Future] = None
+        #: The stream's framing error, reported after the frames before it.
+        self._error: Optional[ApiError] = None
+        self._eof = False
+        self._reading_paused = False
+        self._writing_paused = False
+        self._drain_waiter: Optional[asyncio.Future] = None
+        self._lost = False
+
+    # -- asyncio.Protocol ----------------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        self._server._accept(self)
+
+    def data_received(self, data: bytes) -> None:
+        self.bytes_in += len(data)
+        if self._error is not None:
+            return  # the stream cannot be resynchronized past its error
+        try:
+            self._bodies.extend(self.decoder.feed(data))
+        except ApiError as error:
+            self._error = error
+        waiter = self._waiter
+        if waiter is None or waiter.done() or self._error is not None:
+            # The read loop is busy elsewhere (or the stream is dead):
+            # stop reading until it asks for its next frame.
+            self._pause_reading()
+        if self._bodies or self._error is not None:
+            self._wake()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._wake()
+        return True  # keep the transport: the read loop closes it
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        self._eof = True
+        self._lost = True
+        self._wake()
+        waiter = self._drain_waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_exception(ConnectionResetError("connection lost"))
+
+    def pause_writing(self) -> None:
+        self._writing_paused = True
+
+    def resume_writing(self) -> None:
+        self._writing_paused = False
+        waiter = self._drain_waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    # -- read side -----------------------------------------------------------
+
+    def _wake(self) -> None:
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    def _pause_reading(self) -> None:
+        if not self._reading_paused:
+            self._reading_paused = True
+            self.transport.pause_reading()
+
+    async def next_frame(self) -> Optional[memoryview]:
+        """The next frame body, or ``None`` once the peer is gone.
+
+        A malformed stream raises its :class:`ApiError` after every frame
+        completed before it has been returned.
+        """
+        while not self._bodies:
+            if self._error is not None:
+                raise self._error
+            if self._eof:
+                return None
+            if self._reading_paused:
+                self._reading_paused = False
+                self.transport.resume_reading()
+            self._waiter = asyncio.get_running_loop().create_future()
+            try:
+                await self._waiter
+            finally:
+                self._waiter = None
+        return self._bodies.popleft()
+
+    # -- write side ----------------------------------------------------------
+
+    async def drain(self) -> None:
+        """Wait until the transport's write buffer is below its high mark."""
+        if self._lost:
+            raise ConnectionResetError("connection lost")
+        if self._writing_paused:
+            self._drain_waiter = asyncio.get_running_loop().create_future()
+            try:
+                await self._drain_waiter
+            finally:
+                self._drain_waiter = None
 
 
 class NormServer:
@@ -391,7 +513,7 @@ class NormServer:
         self._loop = loop
         try:
             self._aserver = loop.run_until_complete(
-                asyncio.start_server(self._serve_connection, sock=self._sock)
+                loop.create_server(lambda: _Connection(self), sock=self._sock)
             )
         except BaseException as error:  # noqa: BLE001 -- surface via start()
             self._startup_error = error
@@ -481,7 +603,7 @@ class NormServer:
             # Closing the transport EOFs the reader coroutine, whose finally
             # block retires the connection's gauges.
             try:
-                connection.writer.close()
+                connection.transport.close()
             except Exception:  # noqa: BLE001 -- transport may be half-dead
                 pass
 
@@ -539,10 +661,9 @@ class NormServer:
 
     # -- connection handling -------------------------------------------------
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        sock = writer.get_extra_info("socket")
+    def _accept(self, connection: _Connection) -> None:
+        """Register a freshly accepted connection and start its read loop."""
+        sock = connection.transport.get_extra_info("socket")
         if sock is not None:
             try:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -552,21 +673,20 @@ class NormServer:
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             except OSError:
                 pass
-        # Raw framing: the decoder splits the byte stream into frame bodies
-        # but defers payload decoding, so the shedding gate can peek a
-        # binary frame's JSON preamble without materializing its tensors.
-        decoder = FrameDecoder(self.max_frame_bytes, raw=True)
         with self._lock:
             if self._closing and not self._draining:
-                writer.close()
+                connection.transport.close()
                 return
             self.connections_total += 1
-            connection = _Connection(
-                writer, self.max_inflight, self.connections_total, decoder
-            )
+            connection.conn_id = self.connections_total
             self._connections[connection.conn_id] = connection
+        task = self._loop.create_task(self._serve_connection(connection))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    async def _serve_connection(self, connection: _Connection) -> None:
         try:
-            await self._read_loop(reader, connection, decoder)
+            await self._read_loop(connection)
         finally:
             with self._lock:
                 self._connections.pop(connection.conn_id, None)
@@ -574,31 +694,19 @@ class NormServer:
                 # session-wide counters survive the connection.
                 self._retired_bytes_in += connection.bytes_in
                 self._retired_bytes_out += connection.bytes_out
-                self._retired_frames_json += decoder.frames_json
-                self._retired_frames_binary += decoder.frames_binary
+                self._retired_frames_json += connection.decoder.frames_json
+                self._retired_frames_binary += connection.decoder.frames_binary
             await self._drop(connection)
             if connection.shm is not None:
                 connection.shm.close()
                 connection.shm = None
 
-    async def _read_loop(
-        self,
-        reader: asyncio.StreamReader,
-        connection: _Connection,
-        decoder: FrameDecoder,
-    ) -> None:
-        """Frame, gate and dispatch everything one connection sends."""
+    async def _read_loop(self, connection: _Connection) -> None:
+        """Gate and dispatch every frame one connection sends."""
         loop = asyncio.get_running_loop()
         while True:
             try:
-                data = await reader.read(65536)
-            except (OSError, asyncio.IncompleteReadError):
-                return  # client went away (or server is closing)
-            if not data:
-                return  # clean EOF
-            connection.bytes_in += len(data)
-            try:
-                frames = decoder.feed(data)
+                body = await connection.next_frame()
             except ApiError as error:
                 # Oversized or malformed frame: the stream cannot be
                 # resynchronized, so report once and drop the link.
@@ -606,125 +714,127 @@ class NormServer:
                     connection, ErrorResponse.from_exception(error).to_wire()
                 )
                 return
-            if frames and connection.shm is None and decoder.last_kind is not None:
+            if body is None:
+                return  # EOF, or the transport is gone
+            if connection.shm is None:
                 # Tag the connection with the traffic it carries; an shm
                 # attach overrides this for good.
-                connection.encoding = decoder.last_kind
-            for body in frames:
-                try:
-                    # JSON frames decode fully here; binary frames yield
-                    # only their preamble -- all the control plane needs.
-                    payload, is_binary = peek_payload(body)
-                except ApiError as error:
-                    await self._try_send(
-                        connection, ErrorResponse.from_exception(error).to_wire()
-                    )
-                    return
-                if payload.get("op") in SHM_CONTROL_OPS:
-                    await self._handle_shm_control(connection, payload)
-                    continue
-                if self.fault_gate is not None:
-                    # Server-side chaos: the gate decides per frame from its
-                    # seeded plan.  Delay falls through to normal handling;
-                    # drop/corrupt/kill short-circuit.
-                    action = self.fault_gate.on_server_frame(payload)
-                    if action is not None:
-                        if action.delay_s > 0:
-                            await asyncio.sleep(action.delay_s)
-                        if action.kind == "drop":
-                            continue
-                        if action.kind == "corrupt":
-                            await self._send_raw(connection, action.data)
-                            continue
-                        if action.kind == "kill":
-                            return
-                if self.tenancy is not None and payload.get("op") == "hello":
-                    # Authenticate the connection from the hello's bearer
-                    # token; a rejected token answers the hello itself with
-                    # a typed error, which fails the client's handshake.
-                    token = payload.get("token")
-                    try:
-                        connection.tenant = self.tenancy.authenticate(
-                            token if isinstance(token, str) else None
-                        )
-                    except ApiError as error:
-                        await self._reject(connection, payload, error)
+                connection.encoding = frame_kind(body)
+            try:
+                # JSON frames decode fully here; binary frames yield
+                # only their preamble -- all the control plane needs.
+                payload, is_binary = peek_payload(body)
+            except ApiError as error:
+                await self._try_send(
+                    connection, ErrorResponse.from_exception(error).to_wire()
+                )
+                return
+            if payload.get("op") in SHM_CONTROL_OPS:
+                await self._handle_shm_control(connection, payload)
+                continue
+            if self.fault_gate is not None:
+                # Server-side chaos: the gate decides per frame from its
+                # seeded plan.  Delay falls through to normal handling;
+                # drop/corrupt/kill short-circuit.
+                action = self.fault_gate.on_server_frame(payload)
+                if action is not None:
+                    if action.delay_s > 0:
+                        await asyncio.sleep(action.delay_s)
+                    if action.kind == "drop":
                         continue
-                is_work = payload.get("op") in WORK_OPS
-                if (
-                    is_work
-                    and self.tenancy is not None
-                    and self.tenancy.require_auth
-                    and (connection.tenant is None or not connection.tenant.authenticated)
-                ):
-                    await self._reject(
-                        connection,
-                        payload,
-                        AuthenticationError(
-                            "this server requires a tenant bearer token; "
-                            "reconnect with token=... / --token"
-                        ),
-                    )
-                    continue
-                # The shedding gate *before* any tensor decode, right here
-                # on the event loop -- O(1) on the peeked preamble, so a
-                # shed request never touches the executor.
+                    if action.kind == "corrupt":
+                        await self._send_raw(connection, action.data)
+                        continue
+                    if action.kind == "kill":
+                        return
+            if self.tenancy is not None and payload.get("op") == "hello":
+                # Authenticate the connection from the hello's bearer
+                # token; a rejected token answers the hello itself with
+                # a typed error, which fails the client's handshake.
+                token = payload.get("token")
                 try:
-                    self.gate.check(
-                        payload, tenant=connection.tenant, nbytes=len(body)
+                    connection.tenant = self.tenancy.authenticate(
+                        token if isinstance(token, str) else None
                     )
                 except ApiError as error:
                     await self._reject(connection, payload, error)
                     continue
-                # Awaiting at max_inflight pauses this coroutine's reads:
-                # backpressure, not buffering.
-                if connection.inflight.locked():
-                    with self._lock:
-                        connection.backpressure_waits += 1
-                        self.backpressure_waits += 1
-                await connection.inflight.acquire()
-                with self._lock:
-                    self.frames_received += 1
-                    connection.frames += 1
-                    connection.inflight_count += 1
-                    if connection.inflight_count > connection.peak_inflight:
-                        connection.peak_inflight = connection.inflight_count
-                    if connection.inflight_count > self.peak_inflight:
-                        self.peak_inflight = connection.inflight_count
-                    closing = self._closing
-                    draining = self._draining
-                if closing:
-                    self._unadmit(connection, is_work)
-                    if not draining:
-                        # Immediate shutdown: stop reading; the dropped
-                        # connection surfaces client-side as a
-                        # TransportError, never a typed response racing
-                        # the teardown.
-                        return
-                    await self._reject(
-                        connection,
-                        payload,
-                        OverloadedError("server is draining and accepts no new work"),
-                    )
-                    continue
-                if is_binary:
-                    # Admitted: only now walk the buffer table.  The decode
-                    # is zero-copy (memoryviews, no tensor byte touched), so
-                    # it runs right here -- and a corrupt body drops the link
-                    # before any frame pipelined behind it is dispatched.
-                    try:
-                        payload = decode_payload(body)
-                    except ApiError as error:
-                        self._unadmit(connection, is_work)
-                        await self._try_send(
-                            connection, ErrorResponse.from_exception(error).to_wire()
-                        )
-                        return
-                task = loop.create_task(
-                    self._handle_one(connection, payload, is_work, len(body))
+            is_work = payload.get("op") in WORK_OPS
+            if (
+                is_work
+                and self.tenancy is not None
+                and self.tenancy.require_auth
+                and (connection.tenant is None or not connection.tenant.authenticated)
+            ):
+                await self._reject(
+                    connection,
+                    payload,
+                    AuthenticationError(
+                        "this server requires a tenant bearer token; "
+                        "reconnect with token=... / --token"
+                    ),
                 )
-                self._tasks.add(task)
-                task.add_done_callback(self._tasks.discard)
+                continue
+            # The shedding gate *before* any tensor decode, right here
+            # on the event loop -- O(1) on the peeked preamble, so a
+            # shed request never touches the executor.
+            try:
+                self.gate.check(
+                    payload, tenant=connection.tenant, nbytes=len(body)
+                )
+            except ApiError as error:
+                await self._reject(connection, payload, error)
+                continue
+            # Awaiting at max_inflight keeps the read loop busy, so the
+            # connection's next received bytes pause reading:
+            # backpressure, not buffering.
+            if connection.inflight.locked():
+                with self._lock:
+                    connection.backpressure_waits += 1
+                    self.backpressure_waits += 1
+            await connection.inflight.acquire()
+            with self._lock:
+                self.frames_received += 1
+                connection.frames += 1
+                connection.inflight_count += 1
+                if connection.inflight_count > connection.peak_inflight:
+                    connection.peak_inflight = connection.inflight_count
+                if connection.inflight_count > self.peak_inflight:
+                    self.peak_inflight = connection.inflight_count
+                closing = self._closing
+                draining = self._draining
+            if closing:
+                self._unadmit(connection, is_work)
+                if not draining:
+                    # Immediate shutdown: stop reading; the dropped
+                    # connection surfaces client-side as a
+                    # TransportError, never a typed response racing
+                    # the teardown.
+                    return
+                await self._reject(
+                    connection,
+                    payload,
+                    OverloadedError("server is draining and accepts no new work"),
+                )
+                continue
+            if is_binary:
+                # Admitted: only now walk the buffer table.  The decode
+                # is zero-copy (memoryviews, no tensor byte touched), so
+                # it runs right here -- and a corrupt body drops the link
+                # before any frame pipelined behind it is dispatched.
+                try:
+                    payload = decode_payload(body)
+                except ApiError as error:
+                    self._unadmit(connection, is_work)
+                    await self._try_send(
+                        connection, ErrorResponse.from_exception(error).to_wire()
+                    )
+                    return
+            task = loop.create_task(
+                self._handle_one(connection, payload, is_work, len(body))
+            )
+            self._tasks.add(task)
+            task.add_done_callback(self._tasks.discard)
 
     def _unadmit(self, connection: _Connection, is_work: bool) -> None:
         """Give back an admitted frame's in-flight and queue slots unserved."""
@@ -854,19 +964,24 @@ class NormServer:
         async with connection.send_lock:
             connection.closed = True
             try:
-                connection.writer.close()
+                connection.transport.close()
             except Exception:  # noqa: BLE001 -- transport may be half-dead
                 pass
 
     async def _send_raw(self, connection: _Connection, data: bytes) -> bool:
-        """Write one encoded frame (or chaos garbage) under the send lock."""
+        """Write one encoded frame (or chaos garbage) under the send lock.
+
+        Written as a memoryview, so a transport that sends only part of it
+        at once keeps a view of the rest instead of re-slicing it into a
+        new ``bytes``.
+        """
         try:
             async with connection.send_lock:
                 if connection.closed:
                     return False
-                connection.writer.write(data)
+                connection.transport.write(memoryview(data))
                 connection.bytes_out += len(data)
-                await connection.writer.drain()
+                await connection.drain()
             return True
         except (OSError, ConnectionError):
             return False

@@ -27,10 +27,24 @@ byte:
       ...  zero padding to the next 8-byte boundary
       ...  buffers (each one 8-byte aligned, raw little-endian)
 
-  Decoding never copies tensor bytes: each buffer becomes a memoryview
-  slice over the received payload, and ``TensorPayload.to_array`` wraps
-  it with ``np.frombuffer``.  Encoding writes each buffer straight from
-  the source array's memoryview -- no base64, no text inflation.
+  Decoding adds no copy of the tensor bytes: each buffer becomes a
+  memoryview slice over the received frame body, and
+  ``TensorPayload.to_array`` wraps it with ``np.frombuffer``.  Encoding
+  hands each buffer over as the source array's memoryview -- no base64,
+  no text inflation.
+
+User-space copies of a binary frame's bytes, per hop:
+
+* **send** -- :func:`send_frame` gathers the frame parts
+  (:func:`encode_frame_parts`) with ``sendmsg``: no copy.
+  :func:`encode_frame` joins the parts into one ``bytes``: one copy (the
+  server writes that as a memoryview; an asyncio transport that cannot
+  send it at once buffers the unsent remainder, a second copy on
+  Python 3.11 and none on 3.12+).
+* **receive** -- :class:`FrameDecoder` appends each received chunk to the
+  frame's own ``bytearray`` (one copy; the chunk itself is the kernel's
+  copy) and hands the finished body out as a read-only memoryview, so the
+  decode above adds none.
 
 Two read paths share the decode rules:
 
@@ -46,9 +60,10 @@ Two read paths share the decode rules:
 from __future__ import annotations
 
 import json
+import os
 import socket
 import struct
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from repro.api.envelopes import (
     PayloadTooLargeError,
@@ -75,6 +90,18 @@ _BUFFER_ENTRY = struct.Struct(">QQ")
 _PREAMBLE_AT = len(BINARY_MAGIC) + _U32.size
 
 
+def _iov_max() -> int:
+    try:
+        limit = os.sysconf("SC_IOV_MAX")
+    except (AttributeError, ValueError, OSError):
+        limit = -1
+    return limit if limit > 0 else 1024
+
+
+#: Most buffers one ``sendmsg`` call may gather (the platform's IOV_MAX).
+SC_IOV_MAX = _iov_max()
+
+
 def _align8(offset: int) -> int:
     return (offset + 7) & ~7
 
@@ -87,8 +114,10 @@ def _oversize_error(direction: str, length: int, max_frame_bytes: int) -> Payloa
     )
 
 
-def _encode_binary_frame(payload: Dict[str, Any], max_frame_bytes: int) -> bytes:
-    """Serialize an envelope carrying binary tensors into a binary frame."""
+def _binary_frame_parts(payload: Dict[str, Any], max_frame_bytes: int) -> List[Any]:
+    """An envelope carrying binary tensors as binary-frame parts: one
+    ``bytes`` head (prefix, magic, preamble, buffer table), then each
+    tensor buffer's memoryview, with zero padding between them."""
     buffers: List[memoryview] = []
 
     def _detach(tensor: Dict[str, Any]) -> Dict[str, Any]:
@@ -116,19 +145,36 @@ def _encode_binary_frame(payload: Dict[str, Any], max_frame_bytes: int) -> bytes
 
     if offset > max_frame_bytes:
         raise _oversize_error("outgoing binary", offset, max_frame_bytes)
-    parts = [
-        FRAME_HEADER.pack(offset),
-        BINARY_MAGIC,
-        _U32.pack(len(preamble)),
-        preamble,
-        _U32.pack(len(buffers)),
-        bytes(table),
-    ]
-    parts.extend(body)
-    return b"".join(parts)
+    head = b"".join(
+        [
+            FRAME_HEADER.pack(offset),
+            BINARY_MAGIC,
+            _U32.pack(len(preamble)),
+            preamble,
+            _U32.pack(len(buffers)),
+            table,
+        ]
+    )
+    return [head, *body]
 
 
-def _decode_binary_payload(data: bytes) -> Dict[str, Any]:
+def _load_preamble(data) -> Dict[str, Any]:
+    """A binary frame's JSON preamble (any bytes-like), as a dict."""
+    try:
+        preamble = json.loads(str(data, "utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise TransportError(
+            f"binary frame preamble is not valid JSON: {error}"
+        ) from error
+    if not isinstance(preamble, dict):
+        raise TransportError(
+            f"binary frame preamble must be a JSON object, got "
+            f"{type(preamble).__name__}"
+        )
+    return preamble
+
+
+def _decode_binary_payload(data) -> Dict[str, Any]:
     """Decode a binary payload; tensor buffers become zero-copy memoryviews.
 
     Every malformed input -- bad magic, lengths that do not fit, buffer
@@ -149,7 +195,7 @@ def _decode_binary_payload(data: bytes) -> Dict[str, Any]:
             f"binary frame preamble announces {preamble_len} bytes but only "
             f"{max(total - pos - _U32.size, 0)} remain in the {total}-byte payload"
         )
-    preamble_bytes = bytes(data[pos : pos + preamble_len])
+    preamble_view = data[pos : pos + preamble_len]
     pos += preamble_len
     (buffer_count,) = _U32.unpack_from(data, pos)
     pos += _U32.size
@@ -171,17 +217,7 @@ def _decode_binary_payload(data: bytes) -> Dict[str, Any]:
             )
         buffers.append(body[offset : offset + length])
 
-    try:
-        preamble = json.loads(preamble_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise TransportError(
-            f"binary frame preamble is not valid JSON: {error}"
-        ) from error
-    if not isinstance(preamble, dict):
-        raise TransportError(
-            f"binary frame preamble must be a JSON object, got "
-            f"{type(preamble).__name__}"
-        )
+    preamble = _load_preamble(preamble_view)
 
     def _attach(tensor: Dict[str, Any]) -> Dict[str, Any]:
         index = tensor["data"]
@@ -197,25 +233,50 @@ def _decode_binary_payload(data: bytes) -> Dict[str, Any]:
     return rewrite_binary_tensors(preamble, _attach)
 
 
-def encode_frame(payload: Dict[str, Any], max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
-    """Serialize one envelope into a length-prefixed frame.
+def encode_frame_parts(
+    payload: Dict[str, Any], max_frame_bytes: int = MAX_FRAME_BYTES
+) -> List[Any]:
+    """One envelope's length-prefixed frame as a list of buffers, in wire
+    order and not joined: tensor buffers stay views of their arrays.
 
     Envelopes carrying ``binary``-encoded tensors become binary frames
     (raw buffers, no base64); everything else stays a JSON frame.
     """
     if has_binary_tensors(payload):
-        return _encode_binary_frame(payload, max_frame_bytes)
+        return _binary_frame_parts(payload, max_frame_bytes)
     data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
     if len(data) > max_frame_bytes:
         raise _oversize_error("outgoing", len(data), max_frame_bytes)
-    return FRAME_HEADER.pack(len(data)) + data
+    return [FRAME_HEADER.pack(len(data)), data]
+
+
+def encode_frame(payload: Dict[str, Any], max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
+    """Serialize one envelope into a length-prefixed frame (one ``bytes``)."""
+    return b"".join(encode_frame_parts(payload, max_frame_bytes))
 
 
 def send_frame(
     sock: socket.socket, payload: Dict[str, Any], max_frame_bytes: int = MAX_FRAME_BYTES
 ) -> None:
-    """Encode and write one frame to a connected socket."""
-    sock.sendall(encode_frame(payload, max_frame_bytes))
+    """Encode and write one frame to a connected socket, without joining it.
+
+    The parts go out through gathered ``sendmsg`` calls of at most
+    :data:`SC_IOV_MAX` buffers each; a partial send resumes from a view
+    of the first unsent part.  Blocking semantics match ``sendall``: a
+    socket timeout or ``SO_SNDTIMEO`` bounds each call and surfaces as
+    ``OSError``.
+    """
+    parts = [part for part in encode_frame_parts(payload, max_frame_bytes) if len(part)]
+    first = 0
+    while first < len(parts):
+        sent = sock.sendmsg(parts[first : first + SC_IOV_MAX])
+        while sent:
+            size = len(parts[first])
+            if sent < size:
+                parts[first] = memoryview(parts[first])[sent:]
+                break
+            sent -= size
+            first += 1
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes:
@@ -231,12 +292,12 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
     return b"".join(chunks)
 
 
-def frame_kind(body: bytes) -> str:
+def frame_kind(body) -> str:
     """``"binary"`` or ``"json"``, by the payload's first byte."""
     return "binary" if body[:1] == BINARY_MAGIC[:1] else "json"
 
 
-def peek_payload(data: bytes) -> tuple:
+def peek_payload(data) -> tuple:
     """``(envelope, is_binary)`` without materializing any tensor buffer.
 
     The pre-decode gate (tenant quota + overload admission) runs on this:
@@ -268,27 +329,16 @@ def peek_payload(data: bytes) -> tuple:
             f"{max(total - _PREAMBLE_AT - _U32.size, 0)} remain in the "
             f"{total}-byte payload"
         )
-    preamble_bytes = bytes(data[_PREAMBLE_AT : _PREAMBLE_AT + preamble_len])
-    try:
-        preamble = json.loads(preamble_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise TransportError(
-            f"binary frame preamble is not valid JSON: {error}"
-        ) from error
-    if not isinstance(preamble, dict):
-        raise TransportError(
-            f"binary frame preamble must be a JSON object, got "
-            f"{type(preamble).__name__}"
-        )
-    return preamble, True
+    return _load_preamble(data[_PREAMBLE_AT : _PREAMBLE_AT + preamble_len]), True
 
 
-def decode_payload(data: bytes) -> Dict[str, Any]:
-    """Decode one frame's payload bytes into an envelope dictionary."""
+def decode_payload(data) -> Dict[str, Any]:
+    """Decode one frame's payload (``bytes`` or a memoryview) into an
+    envelope dictionary."""
     if frame_kind(data) == "binary":
         return _decode_binary_payload(data)
     try:
-        payload = json.loads(data.decode("utf-8"))
+        payload = json.loads(str(data, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise TransportError(f"frame payload is not valid JSON: {error}") from error
     if not isinstance(payload, dict):
@@ -302,9 +352,14 @@ class FrameDecoder:
     """Incremental frame decoder over an unbounded byte stream.
 
     Feed raw received bytes in any chunking; complete envelopes come out in
-    order.  The buffered tail is bounded by ``max_frame_bytes`` + header: an
-    announced length beyond the limit fails *before* the body is buffered,
-    so a hostile peer cannot make this side hold unbounded memory.
+    order.  Each frame body accumulates in its own ``bytearray``, grown only
+    by bytes actually received (never sized from the peer's announced
+    length), and is handed out as a read-only memoryview -- no slice, no
+    second copy.  An announced length beyond ``max_frame_bytes`` fails
+    *before* any body byte is buffered, so a hostile peer cannot make this
+    side hold unbounded memory.  The decoder copies out of what it is fed
+    and keeps no reference to it, so the caller may reuse its receive
+    buffer.
 
     The decoder keeps codec counters for the telemetry layer:
     ``frames_json`` / ``frames_binary`` (decoded envelopes per payload
@@ -312,8 +367,8 @@ class FrameDecoder:
     ``last_kind`` (the most recent frame's kind, or ``None``).
 
     ``raw=True`` defers payload decoding: :meth:`feed` returns the frame
-    *bodies* (``bytes``) instead of envelopes, counters still tick per
-    kind.  The server reader uses this so its pre-decode gate can
+    *bodies* (read-only memoryviews) instead of envelopes, counters still
+    tick per kind.  The server reader uses this so its pre-decode gate can
     :func:`peek_payload` a frame and shed it (quota, overload) before any
     tensor buffer is materialized; admitted bodies then go through
     :func:`decode_payload`.
@@ -322,7 +377,12 @@ class FrameDecoder:
     def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES, raw: bool = False):
         self.max_frame_bytes = max_frame_bytes
         self.raw = raw
-        self._buffer = bytearray()
+        #: Bytes of the next frame's length prefix seen so far.
+        self._header = bytearray()
+        #: Body of the frame being received (``None`` between frames) and
+        #: the byte count it still lacks.
+        self._body: Optional[bytearray] = None
+        self._missing = 0
         self.frames_json = 0
         self.frames_binary = 0
         self.bytes_decoded = 0
@@ -330,12 +390,15 @@ class FrameDecoder:
 
     @property
     def pending_bytes(self) -> int:
-        """Bytes buffered towards the next (incomplete) frame."""
-        return len(self._buffer)
+        """Bytes received towards the next (incomplete) frame, its length
+        prefix included."""
+        if self._body is None:
+            return len(self._header)
+        return FRAME_HEADER.size + len(self._body)
 
-    def feed(self, data: bytes) -> List[Any]:
-        """Absorb received bytes; returns every frame completed by them
-        (envelope dicts, or raw bodies in ``raw`` mode).
+    def feed(self, data) -> List[Any]:
+        """Absorb received bytes (any bytes-like object); returns every frame
+        completed by them (envelope dicts, or raw bodies in ``raw`` mode).
 
         Raises :class:`PayloadTooLargeError` on an oversized length prefix
         (the message names both the configured cap and the offending
@@ -344,28 +407,48 @@ class FrameDecoder:
         (framing cannot be resynchronized), so the caller must drop the
         connection.
         """
-        self._buffer.extend(data)
-        frames: List[Dict[str, Any]] = []
-        while True:
-            if len(self._buffer) < FRAME_HEADER.size:
-                return frames
-            (length,) = FRAME_HEADER.unpack_from(self._buffer)
-            if length > self.max_frame_bytes:
-                raise _oversize_error("incoming", length, self.max_frame_bytes)
-            end = FRAME_HEADER.size + length
-            if len(self._buffer) < end:
-                return frames
-            body = bytes(self._buffer[FRAME_HEADER.size : end])
-            del self._buffer[:end]
-            kind = frame_kind(body)
-            frame: Any = body if self.raw else decode_payload(body)
-            self.last_kind = kind
-            self.bytes_decoded += len(body)
-            if kind == "binary":
-                self.frames_binary += 1
-            else:
-                self.frames_json += 1
-            frames.append(frame)
+        view = memoryview(data)
+        end = view.nbytes
+        pos = 0
+        frames: List[Any] = []
+        while pos < end:
+            if self._body is None:
+                if not self._header and end - pos >= FRAME_HEADER.size:
+                    (length,) = FRAME_HEADER.unpack_from(view, pos)
+                    pos += FRAME_HEADER.size
+                else:
+                    take = min(FRAME_HEADER.size - len(self._header), end - pos)
+                    self._header += view[pos : pos + take]
+                    pos += take
+                    if len(self._header) < FRAME_HEADER.size:
+                        break
+                    (length,) = FRAME_HEADER.unpack(self._header)
+                    self._header.clear()
+                if length > self.max_frame_bytes:
+                    raise _oversize_error("incoming", length, self.max_frame_bytes)
+                self._body = bytearray()
+                self._missing = length
+            take = min(self._missing, end - pos)
+            if take:
+                self._body += view[pos : pos + take]
+                pos += take
+                self._missing -= take
+            if not self._missing:
+                body = memoryview(self._body).toreadonly()
+                self._body = None
+                frames.append(self._complete(body))
+        return frames
+
+    def _complete(self, body: memoryview) -> Any:
+        kind = frame_kind(body)
+        frame = body if self.raw else decode_payload(body)
+        self.last_kind = kind
+        self.bytes_decoded += len(body)
+        if kind == "binary":
+            self.frames_binary += 1
+        else:
+            self.frames_json += 1
+        return frame
 
     def finish(self) -> None:
         """Assert the stream ended on a frame boundary.
@@ -373,9 +456,9 @@ class FrameDecoder:
         A peer that closed mid-frame left ``pending_bytes`` behind; that is
         a truncated stream, reported as :class:`TransportError`.
         """
-        if self._buffer:
+        if self.pending_bytes:
             raise TransportError(
-                f"stream ended mid-frame with {len(self._buffer)} buffered byte(s)"
+                f"stream ended mid-frame with {self.pending_bytes} buffered byte(s)"
             )
 
 

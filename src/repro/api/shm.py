@@ -1,7 +1,7 @@
 """Same-host shared-memory transport: tensor slabs out-of-band, frames on TCP.
 
 Motivation: even with the v3 binary wire format every tensor byte still
-crosses the kernel socket buffer twice (client ``sendall`` + server
+crosses the kernel socket buffer twice (client ``sendmsg`` + server
 ``recv``).  On the same host that copy tax is avoidable: this module moves
 tensor *buffers* through a pair of ``multiprocessing.shared_memory``
 segments and keeps the existing socket for everything else -- envelopes,

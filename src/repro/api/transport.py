@@ -56,6 +56,10 @@ from repro.api.framing import (
 )
 from repro.api.retry import AMBIGUOUS, CLEAN, OVERLOADED, RetryPolicy
 
+#: Size of each pooled connection's receive buffer: every ``recv_into``
+#: reuses it, and the frame decoder copies out of it.
+RECV_BUFFER_BYTES = 256 * 1024
+
 
 class PendingReply:
     """Client-side future of one in-flight request envelope."""
@@ -377,17 +381,18 @@ class _PoolConnection:
 
     def _receive_loop(self) -> None:
         decoder = FrameDecoder(self.max_frame_bytes)
+        buffer = memoryview(bytearray(RECV_BUFFER_BYTES))
         while True:
             try:
-                data = self.sock.recv(65536)
+                count = self.sock.recv_into(buffer)
             except OSError as error:
                 self._on_disconnect(f"connection to {self.address} lost: {error}")
                 return
-            if not data:
+            if not count:
                 self._on_disconnect(f"server {self.address} closed the connection")
                 return
             try:
-                frames = decoder.feed(data)
+                frames = decoder.feed(buffer[:count])
             except ApiError as error:
                 # The stream is unsynchronizable; everything in flight on
                 # this connection is unanswerable.
@@ -398,6 +403,12 @@ class _PoolConnection:
 
     def _on_disconnect(self, message: str) -> None:
         self._dead = True
+        # The pool drops dead connections without closing them: release
+        # the socket here, where the receiver learns the peer is gone.
+        try:
+            self.sock.close()
+        except OSError:
+            pass
         in_flight = self.in_flight
         suffix = f" with {in_flight} request(s) in flight" if in_flight else ""
         self._fail_pending(TransportError(message + suffix, address=self.address))

@@ -95,6 +95,7 @@ class ReferenceBackend(NormBackend):
 
     name = "reference"
 
+    @kernels.propagates_nonfinite
     def run(
         self,
         plan: ExecutionPlan,

@@ -97,12 +97,14 @@ class ReplicaProcess:
                     self.address = after.split()[0].strip()
                     break
             elif self._process.poll() is not None:
+                stdout.close()
                 raise RuntimeError(
                     "replica exited before listening; last output:\n"
                     + "\n".join(self.output)
                 )
             if time.monotonic() > deadline:
                 self.kill()
+                stdout.close()
                 raise RuntimeError(
                     f"replica did not start within {self.startup_timeout}s"
                 )
@@ -118,8 +120,9 @@ class ReplicaProcess:
         stdout = self._process.stdout if self._process else None
         if stdout is None:
             return
-        for line in stdout:
-            self.output.append(line.rstrip())
+        with stdout:  # EOF: the process is gone, release the pipe
+            for line in stdout:
+                self.output.append(line.rstrip())
 
     @property
     def alive(self) -> bool:

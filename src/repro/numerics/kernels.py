@@ -35,7 +35,7 @@ objects are duck-typed (only their public attributes are read).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -55,6 +55,7 @@ __all__ = [
     "inv_sqrt_stat",
     "normalize_affine",
     "haan_normalize_rows",
+    "propagates_nonfinite",
 ]
 
 #: Symmetric INT8 clipping bound (matches ``Quantizer.INT8_MAX``).
@@ -63,6 +64,22 @@ INT8_MAX = 127
 #: Tie tolerance of the scalar minifloat encoder's round-half-to-even
 #: correction (mirrored exactly so the kernels stay bit-identical).
 _TIE_EPSILON = 1e-12
+
+
+def propagates_nonfinite(fn: Callable) -> Callable:
+    """Run ``fn`` with numpy's invalid-value warnings off.
+
+    NaN/inf rows propagate through normalization by design (``inf - inf``,
+    NaN scales); the warnings numpy raises for them are expected, not
+    errors.
+    """
+
+    @wraps(fn)
+    def quiet(*args, **kwargs):
+        with np.errstate(invalid="ignore"):
+            return fn(*args, **kwargs)
+
+    return quiet
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +524,7 @@ def _subsample_view(rows: np.ndarray, length: int, policy: str) -> np.ndarray:
     return rows[:, ::stride][:, :clamped]
 
 
+@propagates_nonfinite
 def haan_normalize_rows(
     rows: np.ndarray,
     gamma: np.ndarray,

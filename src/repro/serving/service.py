@@ -461,12 +461,13 @@ class NormalizationService:
         # cross-layer state.
         mean.flags.writeable = False
         isd.flags.writeable = False
+        responses = []
         offset = 0
         for pending, count, wait in zip(good, counts, queue_waits):
             segment = slice(offset, offset + count)
             offset += count
             request = pending.request
-            pending.set_result(
+            responses.append(
                 NormResponse(  # positional: field order of NormResponse
                     request.request_id,
                     key,
@@ -481,24 +482,31 @@ class NormalizationService:
                     applied_level,
                 )
             )
-        self.telemetry.observe_batch(
-            num_requests=len(good),
-            num_rows=int(stacked.shape[0]),
-            queue_waits=queue_waits,
-            batch_seconds=batch_seconds,
-            rows_predicted=int(stacked.shape[0]) if was_predicted else 0,
-            rows_subsampled=int(stacked.shape[0]) if was_subsampled else 0,
-            backend=key.backend,
-            cost=cost_record,
-        )
-        observer = self.cost_observer
-        if observer is not None and cost_record is not None:
-            # Per-tenant attribution of the batch's modelled cost.  The
-            # observer receives the whole batch (tenant names and row
-            # counts in batch order) so the split can be made *exact*:
-            # summed per-tenant cycles/energy reproduce the record's
-            # totals bit-for-bit, regardless of how requests shared the
-            # batch.
-            observer(
-                [pending.request.tenant for pending in good], counts, cost_record
+        # Telemetry and the cost split are recorded *before* any future
+        # resolves, so a caller that reads its answer already sees it
+        # counted; the futures resolve even if recording fails.
+        try:
+            self.telemetry.observe_batch(
+                num_requests=len(good),
+                num_rows=int(stacked.shape[0]),
+                queue_waits=queue_waits,
+                batch_seconds=batch_seconds,
+                rows_predicted=int(stacked.shape[0]) if was_predicted else 0,
+                rows_subsampled=int(stacked.shape[0]) if was_subsampled else 0,
+                backend=key.backend,
+                cost=cost_record,
             )
+            observer = self.cost_observer
+            if observer is not None and cost_record is not None:
+                # Per-tenant attribution of the batch's modelled cost.  The
+                # observer receives the whole batch (tenant names and row
+                # counts in batch order) so the split can be made *exact*:
+                # summed per-tenant cycles/energy reproduce the record's
+                # totals bit-for-bit, regardless of how requests shared the
+                # batch.
+                observer(
+                    [pending.request.tenant for pending in good], counts, cost_record
+                )
+        finally:
+            for pending, response in zip(good, responses):
+                pending.set_result(response)

@@ -16,6 +16,7 @@ Covered here:
 * hundreds of idle connections held open while golden-checked traffic
   flows on another connection;
 * graceful drain: in-flight work answered, post-drain work refused;
+* the per-connection in-flight bound under 32 pipelined frames;
 * a corrupt binary body: one typed error, then the link drops before any
   frame pipelined behind it runs or is charged;
 * the tenancy handshake (token auth, typed rejection) and the chaos
@@ -340,6 +341,31 @@ class TestConnectionScale:
         assert snapshot["requests_served"] >= 1
         assert snapshot["connections_active"] == 0
         service.close()
+
+
+    def test_inflight_bound_holds_for_pipelined_frames(self, registry, rng):
+        # 32 frames pipelined on one connection while every batch is held
+        # open: the server reads no further than max_inflight frames ahead.
+        payloads = [_rows(rng, 2) for _ in range(32)]
+        service = _service(registry)
+        with NormServer(service, max_inflight=2) as server:
+            with NormClient.connect(server.host, server.port) as client:
+                with service._execute_lock:  # hold every batch open
+                    pendings = [client.submit_normalize(p, "tiny") for p in payloads]
+                    deadline = time.monotonic() + 10.0
+                    while server.wire_snapshot()["backpressure_waits"] < 1:
+                        assert time.monotonic() < deadline, "bound never reached"
+                        time.sleep(0.01)
+                    snapshot = server.wire_snapshot()
+                    assert snapshot["inflight_current"] <= 2
+                results = [pending.result(timeout=30.0) for pending in pendings]
+            snapshot = server.wire_snapshot()
+        service.close()
+        assert snapshot["peak_inflight"] <= 2
+        assert snapshot["backpressure_waits"] >= 1
+        assert snapshot["frames_received"] == 32 + 1  # and the hello
+        for payload, result in zip(payloads, results):
+            assert np.array_equal(result.output, _golden(registry, payload))
 
 
 # ---------------------------------------------------------------------------

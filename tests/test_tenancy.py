@@ -685,6 +685,46 @@ class TestMetrics:
                         expected = f'haan_tenant_requests_total{{tenant="acme"}} {answered}'
                         assert expected in samples, f"after response {answered}"
 
+    def test_requests_and_cycles_are_current_after_every_response(self, registry):
+        """A batch is recorded in telemetry and the tenant ledger before
+        its futures resolve, so after each lock-step answer both the
+        request counter and the ledger's modelled cycles already count it."""
+        payload = np.ones((2, HIDDEN))
+        engine = registry.get("tiny", "default").layer(0).engine_for("simulated")
+        engine.run(payload)
+        per_call = engine.backend.last_record.total_cycles
+        assert per_call > 0
+        with NormalizationService(registry=registry) as service:
+            tenancy = _controller()
+            with NormServer(service, tenancy=tenancy) as server:
+                with NormClient.connect(
+                    server.host, server.port, token="tok-acme"
+                ) as client:
+                    for answered in range(1, 201):
+                        client.normalize(payload, "tiny", backend="simulated")
+                        snapshot = service.telemetry.snapshot()
+                        ledger = tenancy.snapshot()["ledger"].get("acme", {})
+                        assert snapshot["requests_total"] == answered, answered
+                        assert ledger.get("cycles") == answered * per_call, answered
+                        assert (
+                            snapshot["modelled_cost"]["total_cycles"] == answered * per_call
+                        ), answered
+
+    def test_failing_cost_observer_still_resolves_every_future(self, registry):
+        def broken_observer(tenants, counts, record):
+            raise RuntimeError("ledger unavailable")
+
+        with NormalizationService(registry=registry, threaded=False) as service:
+            service.cost_observer = broken_observer
+            futures = [
+                service.submit(np.ones((2, HIDDEN)), "tiny", backend="simulated")
+                for _ in range(3)
+            ]
+            service.run_queued()
+            assert all(future.done() for future in futures)
+            for future in futures:
+                assert future.result().output.shape == (2, HIDDEN)
+
     def test_label_values_are_escaped(self):
         text = render_prometheus(
             {
@@ -711,6 +751,7 @@ class TestMetrics:
             assert "haan_tenancy_require_auth 1" in samples
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(f"{url}/other", timeout=5.0)
+            excinfo.value.close()  # the error carries the open response
             assert excinfo.value.code == 404
 
     def test_http_endpoint_answers_500_on_render_failure(self):
@@ -722,4 +763,5 @@ class TestMetrics:
                 urllib.request.urlopen(
                     f"http://{metrics.host}:{metrics.port}/metrics", timeout=5.0
                 )
+            excinfo.value.close()
             assert excinfo.value.code == 500

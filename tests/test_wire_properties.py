@@ -22,6 +22,11 @@ the direct fuzz loops use fixed-seed generators.
 from __future__ import annotations
 
 import json
+import socket
+import struct
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,9 +57,12 @@ from repro.api.envelopes import (
 from repro.api.framing import (
     BINARY_MAGIC,
     FRAME_HEADER,
+    SC_IOV_MAX,
     FrameDecoder,
+    decode_payload,
     encode_frame,
     frame_kind,
+    send_frame,
 )
 from repro.api.handler import ApiHandler
 from repro.serving.registry import CalibrationRegistry
@@ -532,6 +540,144 @@ class TestBinaryFrameProperties:
         assert inner.sent["op"].startswith("corrupted[")
         assert has_binary_tensors(inner.sent)  # still a binary frame on the wire
         assert frame_kind(encode_frame(inner.sent)[4:]) == "binary"
+
+
+# ---------------------------------------------------------------------------
+# decoder memory: one copy per frame, nothing sized by the announced length
+# ---------------------------------------------------------------------------
+
+
+def _bulk_frame(arrays) -> bytes:
+    return encode_frame(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "op": "normalize_bulk",
+            "request_id": 1,
+            "tensors": [TensorPayload.from_array(a, "binary").to_wire() for a in arrays],
+        }
+    )
+
+
+class TestDecoderMemory:
+    CHUNK = 64 * 1024
+
+    def test_chunked_16mib_frame_peaks_near_its_own_size(self):
+        frame = _bulk_frame([np.arange(2 * 1024 * 1024, dtype=np.float64)])
+        view = memoryview(frame)
+        decoder = FrameDecoder()
+        tracemalloc.start()
+        try:
+            decoded = []
+            for at in range(0, len(frame), self.CHUNK):
+                decoded.extend(decoder.feed(view[at : at + self.CHUNK]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(decoded) == 1
+        assert peak <= 1.25 * len(frame), f"peak {peak / len(frame):.2f}x the frame"
+        out = TensorPayload.from_wire(decoded[0]["tensors"][0]).to_array()
+        assert np.array_equal(out, np.arange(2 * 1024 * 1024, dtype=np.float64))
+
+    def test_announced_length_allocates_nothing_up_front(self):
+        decoder = FrameDecoder()
+        tracemalloc.start()
+        try:
+            assert decoder.feed(FRAME_HEADER.pack(60 * 1024 * 1024) + b"\xab") == []
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert decoder.pending_bytes == FRAME_HEADER.size + 1
+        assert held < 64 * 1024
+
+    @pytest.mark.parametrize("raw", [False, True], ids=["decoded", "raw"])
+    def test_reused_receive_buffer_never_aliases_decoded_frames(self, raw):
+        # Like a recv_into loop: every chunk lands in the same buffer, which
+        # is overwritten once the decoder has seen it.
+        rng = np.random.default_rng(3)
+        arrays = [rng.normal(size=(5, 7)), rng.normal(size=(3,)).astype(np.float32)]
+        stream = _bulk_frame(arrays) * 3
+        buffer = bytearray(97)
+        decoder = FrameDecoder(raw=raw)
+        frames = []
+        for at in range(0, len(stream), len(buffer)):
+            chunk = stream[at : at + len(buffer)]
+            buffer[: len(chunk)] = chunk
+            frames.extend(decoder.feed(memoryview(buffer)[: len(chunk)]))
+            buffer[:] = b"\xff" * len(buffer)
+        decoder.finish()
+        assert len(frames) == 3
+        for frame in frames:
+            envelope = decode_payload(frame) if raw else frame
+            for wire, original in zip(envelope["tensors"], arrays):
+                assert TensorPayload.from_wire(wire).to_array().tobytes() == original.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# send_frame: gathered sends, partial writes, byte-identical wire
+# ---------------------------------------------------------------------------
+
+
+def _slow_drain(sock: socket.socket, into: bytearray) -> None:
+    while True:
+        data = sock.recv(4096)
+        if not data:
+            return
+        into += data
+        time.sleep(0.0005)
+
+
+class TestSendFrame:
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [(256, 512)],  # one 1 MiB buffer: many partial sends
+            [(1, 3)] * (SC_IOV_MAX + 37),  # more buffers than one sendmsg takes
+        ],
+        ids=["large-buffer", "over-iov-max"],
+    )
+    def test_slow_reader_receives_exactly_encode_frame(self, shapes):
+        rng = np.random.default_rng(11)
+        # float32 arrays of odd length need zero padding parts between them.
+        arrays = [
+            rng.normal(size=shape).astype(np.float32 if i % 3 == 1 else np.float64)
+            for i, shape in enumerate(shapes)
+        ]
+        envelope = {
+            "schema_version": SCHEMA_VERSION,
+            "op": "normalize_bulk",
+            "request_id": 9,
+            "tensors": [TensorPayload.from_array(a, "binary").to_wire() for a in arrays],
+        }
+        sender, receiver = socket.socketpair()
+        received = bytearray()
+        with sender, receiver:
+            sender.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            sender.settimeout(30.0)  # non-blocking underneath: partial sends
+            reader = threading.Thread(target=_slow_drain, args=(receiver, received))
+            reader.start()
+            send_frame(sender, envelope)
+            sender.shutdown(socket.SHUT_WR)
+            reader.join(timeout=30.0)
+        assert bytes(received) == encode_frame(envelope)
+
+    def test_send_timeout_still_bounds_a_stalled_peer(self):
+        # SO_SNDTIMEO on a blocking socket: a peer that never reads turns
+        # into an OSError, not a sender blocked forever.
+        envelope = {
+            "schema_version": SCHEMA_VERSION,
+            "op": "normalize",
+            "request_id": 1,
+            "tensor": TensorPayload.from_array(np.zeros((512, 1024)), "binary").to_wire(),
+        }
+        sender, receiver = socket.socketpair()
+        with sender, receiver:
+            sender.setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDTIMEO, struct.pack("ll", 0, 200_000)
+            )
+            started = time.monotonic()
+            with pytest.raises(OSError):
+                send_frame(sender, envelope)
+            assert time.monotonic() - started < 10.0
 
 
 # ---------------------------------------------------------------------------

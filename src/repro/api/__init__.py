@@ -16,9 +16,10 @@ One facade, two transports, one pipelined wire protocol:
   transparent reconnect).
 * :mod:`repro.api.aserver` -- :class:`NormServer`, the TCP front of a
   service (``haan-serve --listen``): one asyncio event loop holds every
-  connection, and admitted frames are handled in a bounded executor by
-  the shared :class:`~repro.api.handler.ApiHandler` both transports
-  dispatch through, while their batches are awaited on the loop
+  connection and runs admitted serving frames through the shared
+  :class:`~repro.api.handler.ApiHandler` both transports dispatch
+  through, awaiting their batches on the loop; a bounded executor runs
+  only the ops that queue nothing and an inline service's drain
   (responses in completion order).
 
 Exports resolve lazily (PEP 562), mirroring :mod:`repro.engine`: the

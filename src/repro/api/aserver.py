@@ -15,12 +15,16 @@ Division of labor per frame:
   (tenant quota + overload admission on the peeked JSON preamble, before
   any tensor bytes are touched), the zero-copy binary body decode of
   admitted frames, shm control ops, chaos gate, hello authentication,
-  per-connection in-flight accounting, response framing.
-* **bounded executor** -- :meth:`ApiHandler.begin` (validate, submit into
-  the service's scheduler; ops that queue nothing run their whole dispatch
-  here), then, for a serving op once its batch ran, its ``finish``
-  (response envelope).  The loop never blocks on tensors or kernels, and
-  no executor thread waits for a batch.
+  per-connection in-flight accounting, and for every frame
+  :meth:`ApiHandler.begin` (validate, zero-copy views, submit into the
+  service's scheduler), then, for a serving op once its batch ran, its
+  ``finish`` (response envelope) and the response framing.  A lock-step
+  serving request crosses threads twice: loop -> scheduler -> loop.
+* **bounded executor** -- only the ``finish`` of ops that queue nothing
+  (``execute`` runs a kernel there; ``spec``, ``hello``, ``ping``,
+  ``telemetry`` and validation errors answer there too), plus the drain
+  of an inline service's queues.  The loop never runs kernels, and no
+  executor thread waits for a batch.
 * **the service's scheduler thread** -- actual normalization work.
   Concurrent frames from **all connections** pool in its queues and drain
   together each engine tick; the loop awaits their futures.
@@ -46,7 +50,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, Optional, Set, Tuple
 
 from repro.api.admission import WORK_OPS, AdmissionController, PreDecodeGate
 from repro.api.envelopes import (
@@ -65,7 +69,6 @@ from repro.api.framing import (
     peek_payload,
 )
 from repro.api.handler import ApiHandler
-from repro.serving.batcher import ResponseFuture
 from repro.tenancy.quota import estimate_rows
 
 #: Transport-level control ops of the shared-memory tier: handled inline on
@@ -352,9 +355,12 @@ class NormServer:
     max_frame_bytes:
         Frame-size bound applied to every connection.
     workers:
-        Size of the bounded executor that validates, submits and builds
-        responses.  Frames waiting for their batch hold no worker, so this
-        does not bound how many frames pool in the scheduler.
+        Size of the bounded executor that runs the ``finish`` of ops that
+        queue nothing (``execute``, ``spec``, ``hello``, ``ping``,
+        ``telemetry``, validation errors) and drains an inline service.
+        Serving frames are begun and finished on the event loop and hold no
+        worker, so this does not bound how many frames pool in the
+        scheduler.
     max_inflight:
         Per-connection bound on requests being handled concurrently.
     admission:
@@ -853,13 +859,14 @@ class NormServer:
     ) -> None:
         """Dispatch-task body: handle one admitted envelope, send its response.
 
-        Every op starts with one executor call (:meth:`_begin_frame`).  A
-        serving op whose batch has not run yet comes back with its
-        scheduler futures: they are awaited here on the loop, holding no
-        executor thread -- so frames from all connections pool in the
-        scheduler together, however few workers there are -- and a second
-        executor call builds its response.  Work is metered *before* the
-        response is sent, so a client that reads its answer and then
+        The envelope is resolved and begun right here on the loop.  A
+        serving op's scheduler futures are awaited on the loop too, holding
+        no executor thread -- so frames from all connections pool in the
+        scheduler together, however few workers there are -- and its
+        response is built on the loop once they are done.  Only ops that
+        queue nothing (their whole dispatch is ``finish``) and the drain of
+        an inline service take an executor call.  Work is metered *before*
+        the response is sent, so a client that reads its answer and then
         scrapes metrics always sees the request counted.
         """
         loop = asyncio.get_running_loop()
@@ -869,20 +876,27 @@ class NormServer:
                 degrade_level = 0
                 if self.ladder is not None and is_work:
                     degrade_level = self.ladder.observe(self.admission.pressure())
-                tenant_name = (
-                    connection.tenant.name if connection.tenant is not None else None
-                )
-                response, pendings, finish = await loop.run_in_executor(
-                    self._pool,
-                    self._begin_frame,
-                    connection,
-                    payload,
-                    degrade_level,
-                    tenant_name,
-                )
-                if response is None:
-                    await _resolved(loop, pendings)
-                    response = await loop.run_in_executor(self._pool, finish)
+                tenant = connection.tenant.name if connection.tenant is not None else None
+                try:
+                    # Swap shm slab descriptors for zero-copy views over the
+                    # shared segment before the handler sees the envelope.
+                    envelope = (
+                        payload
+                        if connection.shm is None
+                        else connection.shm.resolve_inbound(payload)
+                    )
+                except ApiError as error:
+                    response = self._error_envelope(payload, error)
+                else:
+                    pendings, finish = self.handler.begin(envelope, degrade_level, tenant)
+                    if not pendings:
+                        response = await loop.run_in_executor(self._pool, finish)
+                    else:
+                        service = self.handler.service
+                        if not service.threaded:
+                            await loop.run_in_executor(self._pool, service.run_queued)
+                        await _resolved(loop, pendings)
+                        response = finish()
             finally:
                 # Exactly once per admitted frame, whatever happened above.
                 if is_work:
@@ -908,36 +922,6 @@ class NormServer:
             with self._lock:
                 connection.inflight_count -= 1
             connection.inflight.release()
-
-    def _begin_frame(
-        self,
-        connection: _Connection,
-        payload: dict,
-        degrade_level: int,
-        tenant: Optional[str],
-    ) -> Tuple[Optional[dict], List[ResponseFuture], Optional[Callable[[], dict]]]:
-        """Executor body: validate and submit one envelope.
-
-        Returns ``(response, pendings, finish)``.  ``response`` is the
-        finished envelope whenever it can be built at once: every op that
-        queues nothing in the scheduler, a failed shm resolve, and a
-        serving op whose batch already ran (an inline service drains its
-        queues right here).  Otherwise it is ``None``, and ``finish``
-        builds the response once every future in ``pendings`` is done.
-        """
-        if connection.shm is not None:
-            try:
-                # Swap shm slab descriptors for zero-copy views over the
-                # shared segment before the handler sees the envelope.
-                payload = connection.shm.resolve_inbound(payload)
-            except ApiError as error:
-                return self._error_envelope(payload, error), [], None
-        pendings, finish = self.handler.begin(payload, degrade_level, tenant)
-        if pendings:
-            self.handler.service.run_queued()
-            if not all(pending.done() for pending in pendings):
-                return None, pendings, finish
-        return finish(), [], None
 
     def _error_envelope(self, payload: dict, error: BaseException) -> dict:
         return shed_error_envelope(

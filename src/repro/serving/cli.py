@@ -87,9 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=8,
-        help="request-handling worker threads in --listen mode (they "
-        "validate, submit and build responses; frames awaiting their "
-        "batch hold none)",
+        help="executor threads in --listen mode: they run ops that queue "
+        "nothing (execute, spec, hello, ping, telemetry, validation errors) "
+        "and drain an inline service; serving frames run on the event loop "
+        "and hold none",
     )
     parser.add_argument(
         "--max-inflight",

@@ -113,6 +113,11 @@ class NormalizationService:
 
     # -- lifecycle ---------------------------------------------------------
 
+    @property
+    def threaded(self) -> bool:
+        """Whether a scheduler thread drains the queues (else :meth:`run_queued` must)."""
+        return self._threaded
+
     def close(self) -> None:
         """Stop the batcher (flushing every queued request) in both modes.
 

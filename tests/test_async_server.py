@@ -188,6 +188,88 @@ class TestBitParity:
         }
 
 
+# ---------------------------------------------------------------------------
+# which thread runs what: the loop begins and finishes serving frames
+# ---------------------------------------------------------------------------
+
+
+class TestThreadPlacement:
+    @pytest.mark.parametrize("kind", ["continuous", "micro"])
+    def test_serving_frames_answered_while_the_only_worker_is_held(
+        self, registry, rng, kind
+    ):
+        """Serving frames are begun and finished on the loop: with the one
+        executor worker held they are still answered, bit-identically,
+        while an op that queues nothing (ping) waits for the worker."""
+        payload = _rows(rng)
+        bulk = [_rows(rng, 3), _rows(rng, 2)]
+        chunks = [_rows(rng, 2), _rows(rng, 4)]
+        service = NormalizationService(registry=registry, **SERVICE_KINDS[kind])
+        held, release = threading.Event(), threading.Event()
+        pinged = []
+        with NormServer(service, workers=1) as server:
+            with NormClient.connect(server.host, server.port, timeout=5.0) as client:
+                client.ping()  # the hello handshake needs the worker too
+                server._pool.submit(lambda: (held.set(), release.wait(30.0)))
+                try:
+                    assert held.wait(5.0), "the worker never picked up the blocker"
+                    single = client.normalize(payload, "tiny").output
+                    got_bulk = [r.output for r in client.normalize_bulk(bulk, "tiny")]
+                    got_stream = [r.output for r in client.stream(iter(chunks), "tiny")]
+                    pinger = threading.Thread(target=lambda: pinged.append(client.ping()))
+                    pinger.start()
+                    pinger.join(timeout=0.3)
+                    assert pinger.is_alive() and not pinged, "ping bypassed the executor"
+                finally:
+                    release.set()
+                pinger.join(timeout=10.0)
+                assert not pinger.is_alive() and len(pinged) == 1
+        service.close()
+
+        np.testing.assert_array_equal(single, _golden(registry, payload))
+        assert len(got_bulk) == len(bulk)
+        for got, sent in zip(got_bulk, bulk):
+            np.testing.assert_array_equal(got, _golden(registry, sent))
+        assert len(got_stream) == len(chunks)
+        for got, sent in zip(got_stream, chunks):
+            np.testing.assert_array_equal(got, _golden(registry, sent))
+
+    @pytest.mark.parametrize("kind", sorted(SERVICE_KINDS))
+    def test_no_kernel_runs_on_the_loop_thread(self, registry, rng, kind, monkeypatch):
+        from repro.engine.registry import Engine
+
+        threads = []
+        run = Engine.run
+
+        def recording_run(self, *args, **kwargs):
+            threads.append(threading.current_thread().name)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "run", recording_run)
+        service = NormalizationService(registry=registry, **SERVICE_KINDS[kind])
+        with NormServer(service) as server:
+            with NormClient.connect(server.host, server.port) as client:
+                served = client.fetch_spec("tiny")
+                ops = {
+                    "normalize": lambda: client.normalize(_rows(rng), "tiny"),
+                    "normalize_bulk": lambda: client.normalize_bulk(
+                        [_rows(rng, 3), _rows(rng, 2)], "tiny"
+                    ),
+                    "stream": lambda: list(
+                        client.stream(iter([_rows(rng, 2), _rows(rng, 4)]), "tiny")
+                    ),
+                    "execute": lambda: client.execute_spec(
+                        served.spec, _rows(rng), gamma=served.gamma, beta=served.beta
+                    ),
+                }
+                for op, call in ops.items():
+                    threads.clear()
+                    call()
+                    assert threads, f"{op} ran no kernel"
+                    assert "haan-server-loop" not in threads, f"{op} ran a kernel on the loop"
+        service.close()
+
+
 class TestErrorParity:
     @pytest.mark.parametrize("scheduler", ["continuous", "micro"])
     def test_unknown_model_typed(self, rng, scheduler):
@@ -304,6 +386,7 @@ class TestConnectionScale:
         server = NormServer(service).start()
         payloads = [_rows(rng) for _ in range(16)]
         outcomes = []
+        answered = threading.Event()
 
         def pump():
             try:
@@ -314,13 +397,18 @@ class TestConnectionScale:
                             got.output, _golden(registry, payload)
                         )
                         outcomes.append("ok")
+                        answered.set()
             except Exception as error:  # noqa: BLE001 -- recorded for assert
                 outcomes.append(type(error).__name__)
+            finally:
+                answered.set()  # never leave the closer waiting on a dead pump
 
         thread = threading.Thread(target=pump)
         try:
             thread.start()
-            time.sleep(0.05)
+            # Close mid-traffic once the first golden-correct answer is in
+            # (after a fixed sleep, a busy host may have answered nothing).
+            answered.wait(15.0)
             server.close(drain_timeout=5.0)
             thread.join(timeout=15.0)
             assert not thread.is_alive(), "client hung across a drained close"
